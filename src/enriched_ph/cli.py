@@ -73,42 +73,31 @@ def _load_json(path):
         raise CliError(EXIT_INPUT, f"malformed JSON in {path}: {exc}")
 
 
-def _load_dataset(path) -> DataSet:
+def _parse(cls, data, path):
+    """A DataSet or an Incarnation from parsed JSON, its errors mapped to exit codes."""
     try:
-        return DataSet.from_json_dict(_load_json(path))
-    except (KeyError, ValueError) as exc:
-        raise CliError(EXIT_INPUT, f"bad data set {path}: {exc}")
-
-
-def _load_incarnation(path) -> Incarnation:
-    data = _load_json(path)
-    try:
-        return Incarnation.from_json_dict(data)
+        return cls.from_json_dict(data)
     except NotOperation as exc:
         raise CliError(
             EXIT_INCARNATION,
             f"{exc.op.name} is not an operation: moves {exc.measurement.name} out of the set",
         )
-    except (KeyError, ValueError, DomainMismatch) as exc:
-        raise CliError(EXIT_INPUT, f"bad incarnation {path}: {exc}")
+    except (KeyError, ValueError) as exc:
+        what = "incarnation" if cls is Incarnation else "data set"
+        raise CliError(EXIT_INPUT, f"bad {what} {path}: {exc}")
+
+
+def _load_dataset(path) -> DataSet:
+    return _parse(DataSet, _load_json(path), path)
+
+
+def _load_incarnation(path) -> Incarnation:
+    return _parse(Incarnation, _load_json(path), path)
 
 
 def _load_dataset_or_incarnation(path):
     data = _load_json(path)
-    if "M" in data or "dataset" in data:
-        try:
-            return Incarnation.from_json_dict(data)
-        except NotOperation as exc:
-            raise CliError(
-                EXIT_INCARNATION,
-                f"{exc.op.name} is not an operation: moves {exc.measurement.name} out of the set",
-            )
-        except (KeyError, ValueError, DomainMismatch) as exc:
-            raise CliError(EXIT_INPUT, f"bad incarnation {path}: {exc}")
-    try:
-        return DataSet.from_json_dict(data)
-    except (KeyError, ValueError) as exc:
-        raise CliError(EXIT_INPUT, f"bad data set {path}: {exc}")
+    return _parse(Incarnation if "M" in data or "dataset" in data else DataSet, data, path)
 
 
 def _emit(payload, path=None):

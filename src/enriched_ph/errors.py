@@ -53,3 +53,16 @@ class NotInvariant(ValueError):
 
 class SimplicialMapError(ValueError):
     """A vertex map does not send simplices to simplices."""
+
+
+class VerificationError(AssertionError):
+    """An internal certificate fails; witness names where.
+
+    The certificates are commuting grid squares, functoriality over composite
+    edges and interleaving triangles and squares.  They are checked
+    explicitly, so they still run under python -O.
+    """
+
+    def __init__(self, witness, message=None):
+        self.witness = witness
+        super().__init__(message or f"verification fails at {witness!r}")

@@ -231,10 +231,12 @@ class GraphFunctor:
     def arrow(self, edge):
         return self.arrows[edge]
 
-    def verify(self, mul) -> bool:
-        """Functoriality over designated composites: for chained edges e0, e1
-        whose composite color mul(g0, g1) is again a color, the composite
-        edge's arrow equals arrow(e0) @ arrow(e1)."""
+    def violation(self, mul):
+        """First chained pair of edges (e0, e1) breaking functoriality, or None.
+
+        Functoriality is checked over designated composites: for chained
+        edges e0, e1 whose composite color mul(g0, g1) is again a color, the
+        composite edge's arrow equals arrow(e0) @ arrow(e1)."""
         colors = set(self.graph.colors)
         for (a, g0, b) in self.graph.edges:
             for (b2, g1, c) in self.graph.edges:
@@ -244,11 +246,15 @@ class GraphFunctor:
                 if h not in colors:
                     continue
                 composite = (a, h, c)
-                if composite not in self.arrows:
-                    return False
-                if self.arrows[composite] != self.arrows[(a, g0, b)] @ self.arrows[(b2, g1, c)]:
-                    return False
-        return True
+                if (
+                    composite not in self.arrows
+                    or self.arrows[composite] != self.arrows[(a, g0, b)] @ self.arrows[(b2, g1, c)]
+                ):
+                    return ((a, g0, b), (b2, g1, c))
+        return None
+
+    def verify(self, mul) -> bool:
+        return self.violation(mul) is None
 
     def __eq__(self, other):
         return (

@@ -1,13 +1,13 @@
-"""Small dense exact linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p.
 
-Matrices are immutable row tuples of ints reduced mod p.  Sizes here are tiny
-(boundary matrices of complexes on a handful of points), so plain Gaussian
-elimination is the right tool.
+ModMatrix is a small dense matrix, immutable row tuples of ints reduced mod
+p; it carries the homology maps that are composed, compared and emitted.
+ColumnSolver is the one elimination routine: sparse columns (dicts from row
+index to a nonzero residue), each reduced against the stored columns by its
+lowest nonzero row, as in the standard persistence algorithm (Zomorodian and
+Carlsson, "Computing Persistent Homology", 2005).  Ranks, kernel bases,
+homology coordinates and persistence pairings are all read off it.
 """
-
-
-def _inv_mod(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
 
 
 class ModMatrix:
@@ -34,12 +34,6 @@ class ModMatrix:
     def from_columns(cls, cols, nrows: int, p: int) -> "ModMatrix":
         rows = [[c[i] % p for c in cols] for i in range(nrows)]
         return cls(rows, len(cols), p)
-
-    def column(self, j: int):
-        return tuple(r[j] for r in self.rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
 
     def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
         if self.ncols != other.nrows or self.p != other.p:
@@ -74,7 +68,10 @@ class ModMatrix:
         return (self.nrows, self.ncols)
 
     def rank(self) -> int:
-        return len(_echelon([list(r) for r in self.rows], self.p)[1])
+        solver = ColumnSolver(self.p)
+        for j in range(self.ncols):
+            solver.add({i: r[j] for i, r in enumerate(self.rows) if r[j]})
+        return len(solver.pivots)
 
     def transpose(self) -> "ModMatrix":
         return ModMatrix(
@@ -87,99 +84,80 @@ class ModMatrix:
         return f"ModMatrix({self.nrows}x{self.ncols} mod {self.p})"
 
 
-def _echelon(rows, p):
-    """In-place row echelon; returns (rows, pivot column list)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if rows[i][c] % p), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = _inv_mod(rows[r][c] % p, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c] % p
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def kernel_basis(m: ModMatrix):
-    """Basis of the right kernel, as column vectors."""
-    rows, pivots = _echelon([list(r) for r in m.rows], m.p)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [0] * m.ncols
-        vec[fc] = 1
-        for ri, pc in enumerate(pivots):
-            vec[pc] = (-rows[ri][fc]) % m.p
-        basis.append(tuple(vec))
-    return basis
+def _axpy(acc: dict, f: int, col: dict, p: int) -> None:
+    """acc += f * col over F_p, keeping acc free of zero entries."""
+    for i, v in col.items():
+        nv = (acc.get(i, 0) + f * v) % p
+        if nv:
+            acc[i] = nv
+        else:
+            del acc[i]
 
 
 class ColumnSolver:
-    """Incremental column-echelon structure over F_p.
+    """Incremental sparse column reduction over F_p.
 
-    add(col) reduces col against the stored echelon columns; returns the
-    residue and records it when nonzero.  coords(col) expresses col as a
-    combination of the added independent columns, or returns None.
+    Columns are numbered in the order they are added.  A column that stays
+    nonzero after reduction is stored, scaled so that its lowest nonzero row
+    (its pivot) holds 1, and pivots maps that row to the column's number; no
+    two stored columns share a pivot, so the stored columns are independent
+    and span every column added so far.
     """
 
-    def __init__(self, nrows: int, p: int):
-        self.nrows = nrows
+    def __init__(self, p: int):
         self.p = p
-        self.cols = []  # reduced columns
-        self.pivots = []  # pivot row of each reduced column
-        self.history = []  # combination of original added columns giving each reduced one
+        self.pivots = {}  # pivot row -> number of the stored column
+        self._stored = {}  # column number -> (reduced column, combination of added columns)
         self.n_added = 0
 
     def _reduce(self, col):
+        """(residue, combo) with residue = col + sum(combo[k] * column k)."""
         p = self.p
-        col = [v % p for v in col]
+        col = {i: v % p for i, v in col.items() if v % p}
         combo = {}
-        changed = True
-        while changed:
-            changed = False
-            low = next((i for i in range(self.nrows - 1, -1, -1) if col[i]), None)
-            if low is None:
+        while col:
+            low = max(col)
+            j = self.pivots.get(low)
+            if j is None:
                 break
-            for ci, piv in enumerate(self.pivots):
-                if piv == low:
-                    f = (col[low] * _inv_mod(self.cols[ci][low], p)) % p
-                    for i in range(self.nrows):
-                        col[i] = (col[i] - f * self.cols[ci][i]) % p
-                    for k, v in self.history[ci].items():
-                        combo[k] = (combo.get(k, 0) - f * v) % p
-                    changed = True
-                    break
+            reduced, history = self._stored[j]
+            f = p - col[low]
+            _axpy(col, f, reduced, p)
+            _axpy(combo, f, history, p)
         return col, combo
 
-    def add(self, col) -> bool:
-        """True if col was independent of what is stored."""
+    def add(self, col):
+        """Store col if it is independent of the columns added before it and
+        return None.  Otherwise return its dependency relation: coefficients,
+        1 at col's own number and the rest on earlier stored columns, of a
+        combination of added columns that vanishes."""
         col, combo = self._reduce(col)
         idx = self.n_added
         self.n_added += 1
-        low = next((i for i in range(self.nrows - 1, -1, -1) if col[i]), None)
-        if low is None:
-            return False
         combo[idx] = 1
-        self.cols.append(col)
-        self.pivots.append(low)
-        self.history.append(combo)
-        return True
+        if not col:
+            return combo
+        low = max(col)
+        inv = pow(col[low], self.p - 2, self.p)
+        self.pivots[low] = idx
+        self._stored[idx] = (
+            {i: v * inv % self.p for i, v in col.items()},
+            {k: v * inv % self.p for k, v in combo.items()},
+        )
+        return None
 
     def coords(self, col):
-        """Coefficients over the added original columns reproducing col, or None."""
+        """Coefficients over the stored columns reproducing col, or None."""
         col, combo = self._reduce(col)
-        if any(col):
+        if col:
             return None
-        return {k: (-v) % self.p for k, v in combo.items() if v}
+        return {k: self.p - v for k, v in combo.items()}
+
+
+def kernel_basis(columns, p: int) -> list:
+    """Basis of the right kernel of the matrix with these sparse columns: one
+    vector per column that depends on earlier ones, with 1 there and support
+    otherwise only on earlier independent columns (the reduced row echelon
+    basis)."""
+    solver = ColumnSolver(p)
+    return [rel for rel in map(solver.add, columns) if rel is not None]

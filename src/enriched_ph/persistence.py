@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import DataSet, Measurement, PointMap, format_rational, sup_distance
-from .errors import SimplicialMapError
+from .errors import SimplicialMapError, VerificationError
 from .ggraph import GraphFunctor, build_graph
 from .linalg import ColumnSolver, ModMatrix, kernel_basis
 
@@ -29,6 +29,12 @@ def check_prime(p: int) -> int:
     if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
         raise ValueError(f"coefficient modulus {p} is not prime")
     return p
+
+
+def _check_degree_and_prime(degree: int, p: int) -> None:
+    if degree < 0:
+        raise ValueError(f"homology degree {degree} is negative")
+    check_prime(p)
 
 
 class SimplicialComplex:
@@ -88,25 +94,28 @@ def sublevel(measurement: Measurement, s) -> tuple:
     return tuple(p for p in measurement.domain if measurement.at(p) <= s)
 
 
-def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> ModMatrix:
-    """Boundary from k-chains to (k-1)-chains with alternating signs."""
-    cols = cx.dim_simplices(k)
-    rows = cx.dim_simplices(k - 1) if k >= 1 else ()
-    mat = [[0] * len(cols) for _ in rows]
-    if k >= 1:
-        idx = cx._index.get(k - 1, {})
-        for j, simplex in enumerate(cols):
-            for i, v in enumerate(simplex):
-                face = simplex[:i] + simplex[i + 1 :]
-                mat[idx[face]][j] = (-1) ** i % p
-    return ModMatrix(mat, len(cols), p)
+def level_grid(measurements) -> tuple:
+    """The s-grid of some measurements: the sorted values they take, after
+    one sentinel below them."""
+    vals = sorted({v for m in measurements for v in m.values})
+    return (vals[0] - 1,) + tuple(vals)
+
+
+def _boundary(simplex, index, p: int) -> dict:
+    """Boundary of a simplex with alternating signs, as a sparse column over
+    the face numbering index; a vertex has boundary zero."""
+    if len(simplex) == 1:
+        return {}
+    return {index[simplex[:i] + simplex[i + 1 :]]: (-1) ** i % p for i in range(len(simplex))}
 
 
 class HomologySpace:
     """Exact homology in one degree with representative cycles.
 
-    Representatives are chain vectors over the degree-d simplices; coords_of
-    expresses any cycle in the representative basis modulo boundaries.
+    Representatives are sparse chains (simplex number -> coefficient) over the
+    degree-d simplices: the first kernel basis vectors, in order, that are
+    independent modulo boundaries.  coords_of expresses any cycle in the
+    representative basis modulo boundaries.
     """
 
     __slots__ = ("complex", "degree", "p", "dim", "representatives", "_solver", "_rep_ids")
@@ -119,22 +128,16 @@ class HomologySpace:
         self.complex = cx
         self.degree = degree
         self.p = p
-        n_d = len(cx.dim_simplices(degree))
-        bd_d = boundary_matrix(cx, degree, p)
-        bd_up = boundary_matrix(cx, degree + 1, p)
-        solver = ColumnSolver(n_d, p)
+        faces, cells = cx._index.get(degree - 1, {}), cx._index.get(degree, {})
+        solver = ColumnSolver(p)
         rep_ids = []
         reps = []
-        for col in bd_up.columns():
-            solver.add(list(col))
-        if degree == 0:
-            cycles = [tuple(1 if i == j else 0 for i in range(n_d)) for j in range(n_d)]
-        else:
-            cycles = kernel_basis(bd_d)
-        for z in cycles:
-            if solver.add(list(z)):
+        for simplex in cx.dim_simplices(degree + 1):
+            solver.add(_boundary(simplex, cells, p))
+        for z in kernel_basis([_boundary(s, faces, p) for s in cx.dim_simplices(degree)], p):
+            if solver.add(z) is None:
                 rep_ids.append(solver.n_added - 1)
-                reps.append(tuple(z))
+                reps.append(z)
         self.dim = len(reps)
         self.representatives = tuple(reps)
         self._solver = solver
@@ -142,7 +145,7 @@ class HomologySpace:
 
     def coords_of(self, chain) -> tuple:
         """Class of a cycle in the representative basis; raises on non-cycles."""
-        combo = self._solver.coords(list(chain))
+        combo = self._solver.coords(chain)
         if combo is None:
             raise ValueError("chain is not a cycle modulo the stored boundaries")
         return tuple(combo.get(i, 0) for i in self._rep_ids)
@@ -155,28 +158,23 @@ def homology(cx: SimplicialComplex, degree: int, p: int) -> HomologySpace:
     return HomologySpace(cx, degree, p)
 
 
-def chain_matrix(src: SimplicialComplex, dst: SimplicialComplex, vmap, k: int, p: int) -> ModMatrix:
-    """Matrix of the simplicial chain map in degree k; collapsing simplices go
-    to zero, others carry the sign of the sorting permutation."""
-    cols = src.dim_simplices(k)
-    rows = dst.dim_simplices(k)
-    mat = [[0] * len(cols) for _ in rows]
-    for j, simplex in enumerate(cols):
-        images = [vmap[v] for v in simplex]
+def chain_image(src: SimplicialComplex, dst: SimplicialComplex, vmap, chain: dict, k: int, p: int) -> dict:
+    """Image of a sparse k-chain under a simplicial vertex map; collapsing
+    simplices go to zero, others carry the sign of the sorting permutation."""
+    level = src.dim_simplices(k)
+    out = {}
+    for j, c in chain.items():
+        images = [vmap[v] for v in level[j]]
         if len(set(images)) < len(images):
             continue
         ordered = dst.sort_vertices(images)
         if not dst.has_simplex(ordered):
-            raise SimplicialMapError(f"image of {simplex!r} is not a simplex")
-        # parity of the permutation sorting the images
+            raise SimplicialMapError(f"image of {level[j]!r} is not a simplex")
         perm = [ordered.index(w) for w in images]
-        sign = 1
-        for a in range(len(perm)):
-            for b in range(a + 1, len(perm)):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        mat[dst.index_of(ordered)][j] = sign % p
-    return ModMatrix(mat, len(cols), p)
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        i = dst.index_of(ordered)
+        out[i] = out.get(i, 0) + (-c if inversions % 2 else c)
+    return {i: v % p for i, v in out.items() if v % p}
 
 
 def verify_simplicial(src: SimplicialComplex, dst: SimplicialComplex, vmap) -> None:
@@ -191,14 +189,13 @@ def verify_simplicial(src: SimplicialComplex, dst: SimplicialComplex, vmap) -> N
 def induced_map(src_space: HomologySpace, dst_space: HomologySpace, vmap) -> ModMatrix:
     """Homology matrix of a simplicial vertex map, representative by
     representative."""
-    verify_simplicial(src_space.complex, dst_space.complex, vmap)
-    k = src_space.degree
-    p = src_space.p
-    cm = chain_matrix(src_space.complex, dst_space.complex, vmap, k, p)
-    cols = []
-    for rep in src_space.representatives:
-        image = cm @ ModMatrix([[v] for v in rep], 1, p)
-        cols.append(dst_space.coords_of([r[0] for r in image.rows]))
+    src, dst = src_space.complex, dst_space.complex
+    verify_simplicial(src, dst, vmap)
+    k, p = src_space.degree, src_space.p
+    cols = [
+        dst_space.coords_of(chain_image(src, dst, vmap, rep, k, p))
+        for rep in src_space.representatives
+    ]
     return ModMatrix.from_columns(cols, dst_space.dim, p)
 
 
@@ -214,7 +211,7 @@ class PHEvaluator:
 
     def __init__(self, dataset: DataSet, p: int = 2):
         self.dataset = dataset
-        self.p = p
+        self.p = check_prime(p)
         self.metric = dataset.pseudometric()
         self._cx = {}
         self._hom = {}
@@ -228,17 +225,6 @@ class PHEvaluator:
         vals = {Fraction(0)}
         vals.update(self.metric.distinct_values())
         return tuple(sorted(vals))
-
-    def s_values(self, m: Measurement) -> tuple:
-        vals = sorted(set(m.values))
-        return (vals[0] - 1,) + tuple(vals)
-
-    def s_values_union(self, measurements) -> tuple:
-        vals = sorted({v for m in measurements for v in m.values})
-        return (vals[0] - 1,) + tuple(vals)
-
-    def sublevel(self, m: Measurement, s) -> tuple:
-        return tuple(p for p in m.domain if m.at(p) <= s)
 
     def complex(self, vertices, r, cap) -> SimplicialComplex:
         key = (frozenset(vertices), r, cap)
@@ -295,7 +281,7 @@ class CriticalGrid:
 
 def critical_grid(dataset: DataSet, m: Measurement) -> CriticalGrid:
     ev = PHEvaluator(dataset)
-    return CriticalGrid(ev.r_values(), ev.s_values(dataset.find(m)))
+    return CriticalGrid(ev.r_values(), level_grid([dataset.find(m)]))
 
 
 class BigradedPersistence:
@@ -324,13 +310,17 @@ class BigradedPersistence:
         return self.spaces[i][j]
 
     def verify_squares(self) -> bool:
+        """True, or VerificationError naming the first cell (i, j) whose
+        square of right and up maps does not commute."""
         nr, ns = len(self.grid.r_values), len(self.grid.s_values)
         for i in range(nr - 1):
             for j in range(ns - 1):
                 upper = self.up[i + 1][j] @ self.right[i][j]
                 lower = self.right[i][j + 1] @ self.up[i][j]
                 if upper != lower:
-                    return False
+                    raise VerificationError(
+                        (i, j), f"internal grid square at cell {(i, j)} does not commute"
+                    )
         return True
 
     def __eq__(self, other):
@@ -368,12 +358,13 @@ def ph_grid(
     evaluator: PHEvaluator = None,
 ) -> BigradedPersistence:
     """Evaluate homology at every grid corner and the internal step maps."""
+    _check_degree_and_prime(degree, p)
     m = dataset.find(measurement)
     ev = evaluator if evaluator is not None else PHEvaluator(dataset, p)
     rv = tuple(r_values) if r_values is not None else ev.r_values()
-    sv = tuple(s_values) if s_values is not None else ev.s_values(m)
+    sv = tuple(s_values) if s_values is not None else level_grid([m])
     grid = CriticalGrid(rv, sv)
-    subs = [ev.sublevel(m, s) for s in sv]
+    subs = [sublevel(m, s) for s in sv]
     spaces = [[ev.homology(subs[j], r, degree) for j in range(len(sv))] for r in rv]
     right = [
         [ev.inclusion_matrix(subs[j], rv[i], subs[j], rv[i + 1], degree) for j in range(len(sv))]
@@ -384,7 +375,7 @@ def ph_grid(
         for i in range(len(rv))
     ]
     bp = BigradedPersistence(dataset, m, degree, p, grid, spaces, right, up, ev)
-    assert bp.verify_squares(), "internal grid squares do not commute"
+    bp.verify_squares()
     return bp
 
 
@@ -462,12 +453,14 @@ def ph_functor(inc, degree: int, p: int, r_values=None, s_values=None) -> GraphF
     matrix grid induced by g from the persistence of phi.g to that of phi.
 
     All objects share one grid (the union of critical values), so arrows
-    compose as plain matrices; functoriality over composites is verified for
-    monoid incarnations by GraphFunctor.verify.
+    compose as plain matrices; functoriality over composites is checked for
+    monoid incarnations, and a failure raises VerificationError naming the
+    pair of edges.
     """
+    _check_degree_and_prime(degree, p)
     ev = PHEvaluator(inc.dataset, p)
     rv = tuple(r_values) if r_values is not None else ev.r_values()
-    sv = tuple(s_values) if s_values is not None else ev.s_values_union(inc.dataset)
+    sv = tuple(s_values) if s_values is not None else level_grid(inc.dataset)
     objects = {
         m: ph_grid(inc.dataset, m, degree, p, r_values=rv, s_values=sv, evaluator=ev)
         for m in inc.dataset
@@ -493,7 +486,9 @@ def ph_functor(inc, degree: int, p: int, r_values=None, s_values=None) -> GraphF
         arrows[(m, g, mg)] = GridMap(src_bp.grid, mats, src_bp, dst_bp)
     functor = GraphFunctor(graph, objects, arrows)
     if inc.kind in ("monoid", "group"):
-        assert functor.verify(lambda a, b: a * b), "persistence functor not functorial"
+        bad = functor.violation(lambda a, b: a * b)
+        if bad is not None:
+            raise VerificationError(bad, f"persistence functor not functorial at edges {bad!r}")
     return functor
 
 
@@ -509,7 +504,9 @@ class InterleavingResult:
 
     def __post_init__(self):
         if self.lower is not None and self.lower > self.upper:
-            raise AssertionError("certified lower bound exceeds the upper bound")
+            raise VerificationError(
+                (self.lower, self.upper), "certified lower bound exceeds the upper bound"
+            )
 
 
 def interleave_upper(
@@ -528,23 +525,25 @@ def interleave_upper(
     Failure of any check is an internal error: the inclusions always provide
     an epsilon-interleaving.
     """
+    _check_degree_and_prime(degree, p)
     phi, psi = dataset.find(phi), dataset.find(psi)
     ev = evaluator if evaluator is not None else PHEvaluator(dataset, p)
     eps = sup_distance(phi, psi)
     rv = ev.r_values()
-    sv = tuple(sorted(set(ev.s_values(phi)) | set(ev.s_values(psi))))
+    sv = tuple(sorted(set(level_grid([phi])) | set(level_grid([psi]))))
     triangles = squares = 0
     seen = set()
 
     def incl(sub_a, r_a, sub_b, r_b):
-        assert set(sub_a) <= set(sub_b), "sublevel inclusion violated"
+        if not set(sub_a) <= set(sub_b):
+            raise VerificationError((sub_a, sub_b), f"sublevel {sub_a!r} is not inside {sub_b!r}")
         return ev.inclusion_matrix(sub_a, r_a, sub_b, r_b, degree)
 
     for s in sv:
         for a, b in ((phi, psi), (psi, phi)):
-            A0 = ev.sublevel(a, s)
-            B1 = ev.sublevel(b, s + eps)
-            A2 = ev.sublevel(a, s + 2 * eps)
+            A0 = sublevel(a, s)
+            B1 = sublevel(b, s + eps)
+            A2 = sublevel(a, s + 2 * eps)
             for r in rv:
                 key = (frozenset(A0), frozenset(B1), frozenset(A2), r, a is phi)
                 if key in seen:
@@ -553,18 +552,22 @@ def interleave_upper(
                 f = incl(A0, r, B1, r)
                 g = incl(B1, r, A2, r)
                 if g @ f != incl(A0, r, A2, r):
-                    raise AssertionError("interleaving triangle does not commute")
+                    raise VerificationError(
+                        (A0, B1, A2, r), "interleaving triangle does not commute"
+                    )
                 triangles += 1
             for ri in range(len(rv) - 1):
                 f0 = incl(A0, rv[ri], B1, rv[ri])
                 f1 = incl(A0, rv[ri + 1], B1, rv[ri + 1])
                 if incl(B1, rv[ri], B1, rv[ri + 1]) @ f0 != f1 @ incl(A0, rv[ri], A0, rv[ri + 1]):
-                    raise AssertionError("shift maps not natural in the scale direction")
+                    raise VerificationError(
+                        (A0, B1, rv[ri], rv[ri + 1]), "shift maps not natural in the scale direction"
+                    )
                 squares += 1
     for si in range(len(sv) - 1):
         for a, b in ((phi, psi), (psi, phi)):
-            A0, A1 = ev.sublevel(a, sv[si]), ev.sublevel(a, sv[si + 1])
-            B0, B1 = ev.sublevel(b, sv[si] + eps), ev.sublevel(b, sv[si + 1] + eps)
+            A0, A1 = sublevel(a, sv[si]), sublevel(a, sv[si + 1])
+            B0, B1 = sublevel(b, sv[si] + eps), sublevel(b, sv[si + 1] + eps)
             for r in rv:
                 key = (frozenset(A0), frozenset(A1), frozenset(B0), frozenset(B1), r, a is phi)
                 if key in seen:
@@ -573,7 +576,9 @@ def interleave_upper(
                 lhs = incl(B0, r, B1, r) @ incl(A0, r, B0, r)
                 rhs = incl(A1, r, B1, r) @ incl(A0, r, A1, r)
                 if lhs != rhs:
-                    raise AssertionError("shift maps not natural in the level direction")
+                    raise VerificationError(
+                        (A0, A1, B0, B1, r), "shift maps not natural in the level direction"
+                    )
                 squares += 1
     return InterleavingResult(
         upper=eps,
@@ -586,60 +591,26 @@ def interleave_upper(
 
 
 def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> list:
-    """Intervals [birth, death) in the level direction at a fixed scale,
-    by standard column reduction of the filtered boundary matrix."""
-    if r < 0:
-        raise ValueError("scale parameter must be nonnegative")
+    """Intervals [birth, death) in the level direction at a fixed scale: the
+    simplices of the complex at scale r enter at their highest value, and the
+    pivots of the column reduction of the filtered boundary matrix pair each
+    creator with the simplex that kills it."""
+    _check_degree_and_prime(degree, p)
     m = dataset.find(m)
-    metric = dataset.pseudometric()
-    pts = m.domain.points
-    simplices = []
-    for k in range(degree + 2):
-        for combo in itertools.combinations(pts, k + 1):
-            if all(metric.at(a, b) <= r for a, b in itertools.combinations(combo, 2)):
-                entry = max(m.at(v) for v in combo)
-                simplices.append((entry, k, combo))
-    simplices.sort(key=lambda t: (t[0], t[1], t[2]))
-    pos = {s: i for i, (_, _, s) in enumerate(simplices)}
-    entries = [t[0] for t in simplices]
-    dims = [t[1] for t in simplices]
-
-    def boundary(simplex):
-        col = {}
-        if len(simplex) > 1:
-            for i in range(len(simplex)):
-                face = simplex[:i] + simplex[i + 1 :]
-                col[pos[face]] = (-1) ** i % p
-        return col
-
-    reduced = {}
-    low_owner = {}
-    killer_of = {}
-    for j, (_, _, simplex) in enumerate(simplices):
-        col = boundary(simplex)
-        while col:
-            low = max(col)
-            if low not in low_owner:
-                break
-            other = reduced[low_owner[low]]
-            factor = col[low] * pow(other[low], p - 2, p) % p
-            for i, v in other.items():
-                nv = (col.get(i, 0) - factor * v) % p
-                if nv:
-                    col[i] = nv
-                elif i in col:
-                    del col[i]
-        if col:
-            low = max(col)
-            low_owner[low] = j
-            reduced[j] = col
-            killer_of[low] = j
+    cx = vr_complex(m.domain.points, dataset.pseudometric().at, r, degree + 1)
+    simplices = sorted(
+        (max(m.at(v) for v in s), k, s) for k, level in cx.simplices.items() for s in level
+    )
+    pos = {s: j for j, (_, _, s) in enumerate(simplices)}
+    solver = ColumnSolver(p)
+    for _, _, s in simplices:
+        solver.add(_boundary(s, pos, p))
+    killers = set(solver.pivots.values())
     bars = []
-    for j, (_, k, _) in enumerate(simplices):
-        if k != degree or j in reduced:
+    for j, (birth, k, _) in enumerate(simplices):
+        if k != degree or j in killers:
             continue  # not a creator in this degree
-        birth = entries[j]
-        death = entries[killer_of[j]] if j in killer_of else INF
+        death = simplices[solver.pivots[j]][0] if j in solver.pivots else INF
         if death != birth:
             bars.append((birth, death))
     bars.sort(key=lambda b: (b[0], b[1] == INF, b[1] if b[1] != INF else 0))
@@ -719,6 +690,7 @@ def bottleneck_distance(bars_a, bars_b):
 def bottleneck_lower(dataset: DataSet, phi: Measurement, psi: Measurement, degree: int, p: int):
     """Largest per-scale bottleneck distance between the level-direction
     barcodes; a certified lower bound for the interleaving distance."""
+    _check_degree_and_prime(degree, p)
     ev = PHEvaluator(dataset, p)
     best = Fraction(0)
     for r in ev.r_values():

@@ -131,6 +131,15 @@ def test_ph_unknown_measurement(files):
     assert main(["ph", path, "-m", "zeta"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["-p", "0"], ["-p", "1"], ["-p", "4"], ["-d", "-1"]])
+def test_ph_bad_modulus_or_degree_exit_2(files, capsys, flags):
+    _, write = files
+    path = write("psi.json", FIXTURE_A_BOTH)
+    assert main(["ph", path, "-m", "phi", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_ph_single_point_bar(files, capsys, tmp_path):
     _, write = files
     path = write("one.json", {"domain": ["p"], "measurements": {"f": ["7"]}})

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,10 +11,12 @@ from enriched_ph import (
     DataSet,
     Domain,
     Incarnation,
+    InterleavingResult,
     PHEvaluator,
     PointMap,
     SimplicialMapError,
     ValueMap,
+    VerificationError,
     bottleneck_distance,
     bottleneck_lower,
     build_graph,
@@ -154,10 +159,20 @@ def test_collapsing_edge_maps_to_zero():
     dom = Domain(["a", "b"])
     ds = DataSet(dom, [("f", [0, 0])])
     cx = vr_complex(dom.points, ds.pseudometric().at, F(0), 2)
-    from enriched_ph.persistence import chain_matrix
+    from enriched_ph.persistence import chain_image
 
-    cm = chain_matrix(cx, cx, {"a": "a", "b": "a"}, 1, 2)
-    assert all(v == 0 for row in cm.rows for v in row)
+    edges = dict.fromkeys(range(len(cx.dim_simplices(1))), 1)
+    assert chain_image(cx, cx, {"a": "a", "b": "a"}, edges, 1, 2) == {}
+
+
+def test_reflection_reverses_the_square_cycle_at_p3(fixture_a):
+    metric = fixture_a["both"].pseudometric()
+    cx = vr_complex(fixture_a["domain"].points, metric.at, F(1), 2)
+    h = homology(cx, 1, 3)
+    flip = {"x1": "x1", "x2": "x3", "x3": "x2", "x4": "x4"}
+    turn = {"x1": "x2", "x2": "x4", "x3": "x1", "x4": "x3"}
+    assert induced_map(h, h, flip).rows == ((2,),)
+    assert induced_map(h, h, turn).rows == ((1,),)
 
 
 def test_non_simplicial_map_rejected(fixture_a):
@@ -214,7 +229,7 @@ def test_tameness_at_cell_midpoints(fixture_a):
     for i, j in itertools.product(range(len(rv)), range(len(sv))):
         r_mid = rv[i] + (rv[i + 1] - rv[i]) / 2 if i + 1 < len(rv) else rv[i] + 1
         s_mid = sv[j] + (sv[j + 1] - sv[j]) / 2 if j + 1 < len(sv) else sv[j] + 1
-        direct = ev.homology(ev.sublevel(phi, s_mid), r_mid, 1)
+        direct = ev.homology(sublevel(phi, s_mid), r_mid, 1)
         assert direct.dim == bp.spaces[i][j].dim
 
 
@@ -229,13 +244,51 @@ def test_tameness_random():
         for i, j in itertools.product(range(len(rv) - 1), range(len(sv) - 1)):
             r_mid = rv[i] + (rv[i + 1] - rv[i]) / 2
             s_mid = sv[j] + (sv[j + 1] - sv[j]) / 2
-            assert ev.homology(ev.sublevel(m, s_mid), r_mid, 1).dim == bp.spaces[i][j].dim
+            assert ev.homology(sublevel(m, s_mid), r_mid, 1).dim == bp.spaces[i][j].dim
 
 
 def test_internal_maps_compose(fixture_a):
     both = fixture_a["both"]
     bp = ph_grid(both, both.by_name("phi"), 1, 2)
     assert bp.verify_squares()
+
+
+FAILING_SQUARE = """
+from enriched_ph import DataSet, Domain, PHEvaluator, VerificationError, ph_grid
+from enriched_ph.linalg import ModMatrix
+
+
+class TopRightMapsZero(PHEvaluator):
+    def inclusion_matrix(self, src_vertices, src_r, dst_vertices, dst_r, d):
+        m = super().inclusion_matrix(src_vertices, src_r, dst_vertices, dst_r, d)
+        if src_r != dst_r and len(dst_vertices) == 4:
+            return ModMatrix.zeros(m.nrows, m.ncols, m.p)
+        return m
+
+
+ds = DataSet(Domain(["x1", "x2", "x3", "x4"]), [("phi", ["-1", "0", "0", "1"])])
+try:
+    ph_grid(ds, ds.by_name("phi"), 0, 2, evaluator=TopRightMapsZero(ds, 2))
+except VerificationError as exc:
+    print(__debug__, exc.witness)
+"""
+
+
+def test_failing_square_raises_under_python_O():
+    # zeroing the scale maps of the full sublevel set breaks the square below them
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAILING_SQUARE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "(0,", "2)"]
+
+
+def test_lower_bound_above_upper_is_a_verification_error():
+    with pytest.raises(VerificationError) as info:
+        InterleavingResult(upper=F(1), lower=F(2))
+    assert info.value.witness == (F(2), F(1))
 
 
 def test_grid_json(fixture_a):
