@@ -10,16 +10,21 @@ import itertools
 from dataclasses import dataclass
 
 from .core import DataSet, Measurement, PointMap
-from .errors import DomainMismatch, GuardExceeded, NotOperation
+from .errors import DomainMismatch, GuardExceeded, NotOperation, VerificationError
 
 DEFAULT_ENUM_GUARD = 6
 
 
-def is_operation(g: PointMap, dataset: DataSet) -> bool:
-    """True when phi . g stays in the data set for every measurement phi."""
+def operation_violation(g: PointMap, dataset: DataSet):
+    """First measurement phi with phi . g outside the data set, or None."""
     if g.source != dataset.domain or g.target != dataset.domain:
         raise DomainMismatch("operation must be an endomorphism of the data set domain")
-    return all(m.compose(g) in dataset for m in dataset)
+    return next((m for m in dataset if m.compose(g) not in dataset), None)
+
+
+def is_operation(g: PointMap, dataset: DataSet) -> bool:
+    """True when phi . g stays in the data set for every measurement phi."""
+    return operation_violation(g, dataset) is None
 
 
 @dataclass(frozen=True)
@@ -37,43 +42,76 @@ class OperationSet:
         return g in self.ops
 
 
-def _all_endomorphisms(domain):
-    pts = domain.points
-    for images in itertools.product(pts, repeat=len(pts)):
-        yield PointMap(domain, domain, dict(zip(pts, images)))
+def _closure_violation(images):
+    """First pair (x, y) of image tuples whose composite x . y is missing, else
+    the first bijection (g,) whose inverse is missing, else None.
+
+    Checking x . y for each reached x and each generator y covers every pair:
+    all members are reached, and x . (y1 ... yk) is reached one generator at a
+    time.  Taking high ranks first keeps the generators few.
+    """
+    found, gens, reached = set(images), [], set()
+    for g in sorted(images, key=lambda g: -len(set(g))):
+        if g in reached:
+            continue
+        todo = [(x, g) for x in reached] + [(g, y) for y in gens + [g]]
+        gens.append(g)
+        reached.add(g)
+        while todo:
+            x, y = todo.pop()
+            xy = tuple(x[i] for i in y)
+            if xy not in found:
+                return (x, y)
+            if xy not in reached:
+                reached.add(xy)
+                todo.extend((xy, z) for z in gens)
+    for g in images:
+        if len(set(g)) == len(g) and tuple(sorted(range(len(g)), key=g.__getitem__)) not in found:
+            return (g,)
+    return None
+
+
+def _operations(dataset: DataSet, guard: int, bijective: bool) -> tuple:
+    """Every operation (every bijective one if asked), in lexicographic order
+    of point indices.  Points are assigned in domain order; a partial map is
+    dropped once some measurement composed with it is not a prefix of a
+    member, which never drops an operation g, since phi . g is a member.
+    """
+    n = len(dataset.domain)
+    if n > guard:
+        raise GuardExceeded(f"|X|={n} exceeds enumeration guard {guard}")
+    vecs = [m.values for m in dataset]
+    prefixes = {v[:k] for v in vecs for k in range(n + 1)}
+
+    def extend(images, heads):
+        if len(images) == n:
+            yield images
+            return
+        for j in range(n):
+            grown = [h + (v[j],) for h, v in zip(heads, vecs)]
+            if not (bijective and j in images) and all(h in prefixes for h in grown):
+                yield from extend(images + (j,), grown)
+
+    found = list(extend((), [()] * len(vecs)))
+    pts, dom = dataset.domain.points, dataset.domain
+    ops = {img: PointMap(dom, dom, {p: pts[j] for p, j in zip(pts, img)}) for img in found}
+    if tuple(range(n)) not in ops:
+        raise VerificationError(PointMap.identity(dom), "the identity is not an operation")
+    bad = _closure_violation(found)
+    if bad is not None:
+        raise VerificationError(tuple(ops[g] for g in bad), "operation set not closed")
+    return tuple(ops.values())
 
 
 def enumerate_end(dataset: DataSet, guard: int = DEFAULT_ENUM_GUARD) -> OperationSet:
-    """All operations of the data set, in canonical (image-tuple) order."""
-    n = len(dataset.domain)
-    if n > guard:
-        raise GuardExceeded(f"|X|={n} exceeds enumeration guard {guard}")
-    ops = tuple(g for g in _all_endomorphisms(dataset.domain) if is_operation(g, dataset))
-    found = set(ops)
-    assert PointMap.identity(dataset.domain) in found
-    # closure holds by construction; spot-check it unless the set is huge
-    sample = ops if len(ops) <= 128 else ops[:64]
-    assert all(g * h in found for g in sample for h in sample), "operation set not closed"
-    return OperationSet(dataset, ops)
+    """All operations of the data set, in lexicographic order of point indices."""
+    return OperationSet(dataset, _operations(dataset, guard, False))
 
 
 def enumerate_aut(dataset: DataSet, guard: int = DEFAULT_ENUM_GUARD) -> OperationSet:
-    """The invertible operations; a group under composition."""
-    n = len(dataset.domain)
-    if n > guard:
-        raise GuardExceeded(f"|X|={n} exceeds enumeration guard {guard}")
-    pts = dataset.domain.points
-    ops = []
-    for images in itertools.permutations(pts):
-        g = PointMap(dataset.domain, dataset.domain, dict(zip(pts, images)))
-        if is_operation(g, dataset):
-            ops.append(g)
-    ops = tuple(sorted(ops, key=lambda g: g.image_tuple()))
-    found = set(ops)
-    assert all(g.inverse() in found for g in ops)
-    sample = ops if len(ops) <= 128 else ops[:64]
-    assert all(g * h in found for g in sample for h in sample), "automorphism set not closed"
-    return OperationSet(dataset, ops)
+    """The invertible operations, a group, sorted by image tuple (point names)."""
+    ops = _operations(dataset, guard, True)
+    return OperationSet(dataset, tuple(sorted(ops, key=lambda g: g.image_tuple())))
 
 
 def generated_submonoid(ops, domain=None) -> tuple:
@@ -122,11 +160,9 @@ class Incarnation:
             else:
                 name, g = entry
                 g = g.with_aliases((name,) + tuple(a for a in g.aliases if a != name))
-            if g.source != dataset.domain or g.target != dataset.domain:
-                raise DomainMismatch("operation must be an endomorphism of the data set domain")
-            for m in dataset:
-                if m.compose(g) not in dataset:
-                    raise NotOperation(g, m)
+            bad = operation_violation(g, dataset)
+            if bad is not None:
+                raise NotOperation(g, bad)
             key = g.image_tuple()
             if key in seen:
                 merged = tuple(dict.fromkeys(seen[key].aliases + g.aliases))
@@ -153,18 +189,16 @@ class Incarnation:
         self._reach = None
 
     def _compute_kind(self) -> str:
-        ops = set(self.ops)
-        has_id = PointMap.identity(self.dataset.domain) in ops
-        closed = all(g * h in ops for g in ops for h in ops)
+        index = self.dataset.domain.index
+        by_image = {tuple(index(q) for q in g.image_tuple()): g for g in self.ops}
+        has_id = tuple(range(len(self.dataset.domain))) in by_image
+        bad = _closure_violation(list(by_image))
+        if bad is not None and len(bad) == 1:
+            raise VerificationError(by_image[bad[0]], "closed operation set misses an inverse")
         all_bij = all(g.is_bijective for g in self.ops)
-        if has_id and closed:
-            if all_bij:
-                assert all(g.inverse() in ops for g in self.ops)
-                return "group"
-            return "monoid"
-        if all_bij:
-            return "group-like"
-        return "general"
+        if has_id and bad is None:
+            return "group" if all_bij else "monoid"
+        return "group-like" if all_bij else "general"
 
     def op_by_name(self, name: str) -> PointMap:
         for g in self.ops:
@@ -174,10 +208,7 @@ class Incarnation:
 
     def monoid_closure(self) -> tuple:
         if self._closure is None:
-            if self.ops:
-                self._closure = generated_submonoid(self.ops)
-            else:
-                self._closure = (PointMap.identity(self.dataset.domain),)
+            self._closure = generated_submonoid(self.ops, self.dataset.domain)
         return self._closure
 
     def act(self, m: Measurement, g: PointMap) -> Measurement:
@@ -353,5 +384,6 @@ def block_incarnation(inc: Incarnation, psi: Measurement) -> Incarnation:
     block = blocks(inc).block_of(psi)
     sub = DataSet(inc.dataset.domain, block)
     out = Incarnation(sub, inc.ops)
-    assert len(blocks(out)) == 1
+    if len(blocks(out)) != 1:
+        raise VerificationError(psi, f"the block of {psi.name} is not transitive")
     return out

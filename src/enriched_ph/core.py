@@ -243,13 +243,12 @@ class DataSet:
     Empty data sets are rejected unless allow_empty is set.
     """
 
-    __slots__ = ("domain", "measurements", "allow_empty", "_by_alias", "_metric")
+    __slots__ = ("domain", "measurements", "allow_empty", "_by_alias", "_by_values", "_metric")
 
     def __init__(self, domain: Domain, measurements, allow_empty: bool = False):
         self.domain = domain
         self.allow_empty = bool(allow_empty)
         by_values: dict[tuple, list] = {}
-        order: list[tuple] = []
         for m in measurements:
             if isinstance(m, Measurement):
                 meas = m
@@ -258,12 +257,10 @@ class DataSet:
                 meas = Measurement(domain, values, (name,) if name else ())
             if meas.domain != domain:
                 raise DomainMismatch("measurement domain differs from data set domain")
-            if meas.values not in by_values:
-                by_values[meas.values] = []
-                order.append(meas.values)
+            aliases = by_values.setdefault(meas.values, [])
             for a in meas.aliases:
-                if a not in by_values[meas.values]:
-                    by_values[meas.values].append(a)
+                if a not in aliases:
+                    aliases.append(a)
         if not by_values and not self.allow_empty:
             raise ValueError("empty data set (pass allow_empty=True to permit)")
 
@@ -286,6 +283,7 @@ class DataSet:
             final.append(Measurement(domain, vals, tuple(aliases)))
         self.measurements = tuple(final)
         self._by_alias = {a: m for m in final for a in m.aliases}
+        self._by_values = {m.values: m for m in final}
         self._metric = None
 
     def __len__(self):
@@ -295,16 +293,14 @@ class DataSet:
         return iter(self.measurements)
 
     def __contains__(self, m):
-        return isinstance(m, Measurement) and m.domain == self.domain and any(
-            m.values == n.values for n in self.measurements
-        )
+        return isinstance(m, Measurement) and m.domain == self.domain and m.values in self._by_values
 
     def find(self, m: Measurement) -> Measurement:
-        """Return the stored (alias-carrying) copy equal to m."""
-        for n in self.measurements:
-            if n.values == m.values:
-                return n
-        raise KeyError(f"measurement {m!r} not in data set")
+        """Return the stored (alias-carrying) copy with m's values."""
+        try:
+            return self._by_values[m.values]
+        except KeyError:
+            raise KeyError(f"measurement {m!r} not in data set") from None
 
     def by_name(self, name: str) -> Measurement:
         try:

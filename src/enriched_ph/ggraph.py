@@ -11,6 +11,7 @@ each edge, contravariantly.
 from dataclasses import dataclass
 
 from .actions import Incarnation
+from .errors import VerificationError
 
 
 class GrothendieckGraph:
@@ -86,7 +87,7 @@ class GrothendieckGraph:
 
 def build_graph(inc: Incarnation) -> GrothendieckGraph:
     """The graph of an incarnation; the one-edge-per-color condition holds by
-    construction but is asserted anyway."""
+    construction but is checked anyway."""
     edges = [(m, g, inc.act(m, g)) for m in inc.dataset for g in inc.ops]
     graph = GrothendieckGraph(
         tuple(inc.dataset),
@@ -95,7 +96,9 @@ def build_graph(inc: Incarnation) -> GrothendieckGraph:
         vertex_names={m: m.name for m in inc.dataset},
         color_names={g: g.name for g in inc.ops},
     )
-    assert validate_graph(graph)
+    bad = graph_violation(graph)
+    if bad is not None:
+        raise VerificationError(bad, f"vertex {bad[0]!r} lacks exactly one edge of color {bad[1]!r}")
     return graph
 
 

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import Incarnation, blocks, enumerate_end, is_independent
+from .actions import Incarnation, blocks, is_independent, universal_incarnation
 from .core import (
     DataSet,
     Domain,
@@ -20,7 +20,7 @@ from .core import (
     change_units,
     domain_change,
 )
-from .errors import EquivarianceError, HypothesisViolation, NotInvariant
+from .errors import EquivarianceError, HypothesisViolation, NotInvariant, VerificationError
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def compose_seo(first: SEO, second: SEO) -> SEO:
 
 def canonical_seo(inc: Incarnation, guard: int = 6) -> SEO:
     """Identity on measurements into the incarnation with every operation."""
-    universal = Incarnation(inc.dataset, enumerate_end(inc.dataset, guard).ops)
+    universal = universal_incarnation(inc.dataset, guard)
     return validate_seo(inc, universal, {m: m for m in inc.dataset}, {g: g for g in inc.ops})
 
 
@@ -468,7 +468,7 @@ def extend_from_basis(
     if conflict is not None:
         if variant == "SEO":
             raise HypothesisViolation(conflict, f"{conflict!r} holds but its image does not")
-        raise AssertionError("extension construction conflicted despite verified hypothesis")
+        raise VerificationError(conflict, "extension construction conflicted despite verified hypothesis")
     if len(assign) != len(source.dataset):
         raise HypothesisViolation(basis, "the given subset does not generate")
     return validate_seo(source, target, assign, tmap)
@@ -519,7 +519,8 @@ def decompose(inc: Incarnation) -> tuple:
         return Measurement(big, tuple(vals), m.aliases)
 
     new_ds = DataSet(big, [embed(m) for m in inc.dataset])
-    assert len(new_ds) == len(inc.dataset)
+    if len(new_ds) != len(inc.dataset):
+        raise VerificationError(inc.dataset, "block embedding merged two measurements")
 
     def diag(g: PointMap) -> PointMap:
         return PointMap(
@@ -530,5 +531,6 @@ def decompose(inc: Incarnation) -> tuple:
     out = Incarnation(new_ds, diag_ops.values())
     alpha = {m: new_ds.find(embed(m)) for m in inc.dataset}
     seo = validate_seo(inc, out, alpha, diag_ops)
-    assert seo.is_isomorphism
+    if not seo.is_isomorphism:
+        raise VerificationError(seo, "block decomposition is not an isomorphism")
     return out, seo

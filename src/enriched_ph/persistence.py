@@ -94,6 +94,12 @@ def sublevel(measurement: Measurement, s) -> tuple:
     return tuple(p for p in measurement.domain if measurement.at(p) <= s)
 
 
+def scale_grid(dataset: DataSet) -> tuple:
+    """The r-grid of a data set: 0 and the distinct values of its
+    pseudometric, sorted."""
+    return tuple(sorted({Fraction(0), *dataset.pseudometric().distinct_values()}))
+
+
 def level_grid(measurements) -> tuple:
     """The s-grid of some measurements: the sorted values they take, after
     one sentinel below them."""
@@ -221,11 +227,6 @@ class PHEvaluator:
     def dist(self, a, b):
         return self.metric.at(a, b)
 
-    def r_values(self) -> tuple:
-        vals = {Fraction(0)}
-        vals.update(self.metric.distinct_values())
-        return tuple(sorted(vals))
-
     def complex(self, vertices, r, cap) -> SimplicialComplex:
         key = (frozenset(vertices), r, cap)
         if key not in self._cx:
@@ -280,8 +281,7 @@ class CriticalGrid:
 
 
 def critical_grid(dataset: DataSet, m: Measurement) -> CriticalGrid:
-    ev = PHEvaluator(dataset)
-    return CriticalGrid(ev.r_values(), level_grid([dataset.find(m)]))
+    return CriticalGrid(scale_grid(dataset), level_grid([dataset.find(m)]))
 
 
 class BigradedPersistence:
@@ -361,7 +361,7 @@ def ph_grid(
     _check_degree_and_prime(degree, p)
     m = dataset.find(measurement)
     ev = evaluator if evaluator is not None else PHEvaluator(dataset, p)
-    rv = tuple(r_values) if r_values is not None else ev.r_values()
+    rv = tuple(r_values) if r_values is not None else scale_grid(ev.dataset)
     sv = tuple(s_values) if s_values is not None else level_grid([m])
     grid = CriticalGrid(rv, sv)
     subs = [sublevel(m, s) for s in sv]
@@ -459,7 +459,7 @@ def ph_functor(inc, degree: int, p: int, r_values=None, s_values=None) -> GraphF
     """
     _check_degree_and_prime(degree, p)
     ev = PHEvaluator(inc.dataset, p)
-    rv = tuple(r_values) if r_values is not None else ev.r_values()
+    rv = tuple(r_values) if r_values is not None else scale_grid(inc.dataset)
     sv = tuple(s_values) if s_values is not None else level_grid(inc.dataset)
     objects = {
         m: ph_grid(inc.dataset, m, degree, p, r_values=rv, s_values=sv, evaluator=ev)
@@ -529,7 +529,7 @@ def interleave_upper(
     phi, psi = dataset.find(phi), dataset.find(psi)
     ev = evaluator if evaluator is not None else PHEvaluator(dataset, p)
     eps = sup_distance(phi, psi)
-    rv = ev.r_values()
+    rv = scale_grid(ev.dataset)
     sv = tuple(sorted(set(level_grid([phi])) | set(level_grid([psi]))))
     triangles = squares = 0
     seen = set()
@@ -691,9 +691,8 @@ def bottleneck_lower(dataset: DataSet, phi: Measurement, psi: Measurement, degre
     """Largest per-scale bottleneck distance between the level-direction
     barcodes; a certified lower bound for the interleaving distance."""
     _check_degree_and_prime(degree, p)
-    ev = PHEvaluator(dataset, p)
     best = Fraction(0)
-    for r in ev.r_values():
+    for r in scale_grid(dataset):
         d = bottleneck_distance(
             slice_barcode(dataset, phi, degree, p, r),
             slice_barcode(dataset, psi, degree, p, r),
@@ -723,7 +722,7 @@ def superlevel_duality_check(dataset: DataSet, phi: Measurement, degree: int, p:
     neg_ds, to_image = change_units(ValueMap.negate(), dataset)
     bp = ph_grid(neg_ds, to_image[phi], degree, p)
     ev = PHEvaluator(dataset, p)
-    if ev.r_values() != bp.grid.r_values:
+    if scale_grid(dataset) != bp.grid.r_values:
         return False
     rv, sv = bp.grid.r_values, bp.grid.s_values
     supers = [tuple(x for x in dataset.domain if phi.at(x) >= -s) for s in sv]

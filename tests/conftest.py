@@ -128,6 +128,47 @@ def random_transitive_group_incarnation(rng: random.Random, max_points=5):
 
 
 # ---------------------------------------------------------------------------
+# brute-force operation oracles: every map or permutation, PointMap products
+
+
+def _is_operation_by_values(g: PointMap, ds: DataSet) -> bool:
+    vals = {m.values for m in ds}
+    return all(tuple(m.at(g(p)) for p in ds.domain) in vals for m in ds)
+
+
+def oracle_end(ds: DataSet) -> list:
+    """Every operation among all |X|^|X| maps, in lexicographic order of point indices."""
+    pts = ds.domain.points
+    maps = (
+        PointMap(ds.domain, ds.domain, dict(zip(pts, images)))
+        for images in itertools.product(pts, repeat=len(pts))
+    )
+    return [g for g in maps if _is_operation_by_values(g, ds)]
+
+
+def oracle_aut(ds: DataSet) -> list:
+    """Every operation among all permutations, sorted by image tuple (point names)."""
+    pts = ds.domain.points
+    maps = (
+        PointMap(ds.domain, ds.domain, dict(zip(pts, images)))
+        for images in itertools.permutations(pts)
+    )
+    return sorted((g for g in maps if _is_operation_by_values(g, ds)), key=lambda g: g.image_tuple())
+
+
+def oracle_kind(ops, domain: Domain) -> str:
+    """Incarnation kind from all pairwise PointMap products."""
+    ops = set(ops)
+    has_id = PointMap.identity(domain) in ops
+    closed = all(g * h in ops for g in ops for h in ops)
+    all_bij = all(g.is_bijective for g in ops)
+    if has_id and closed:
+        assert not all_bij or all(g.inverse() in ops for g in ops)
+        return "group" if all_bij else "monoid"
+    return "group-like" if all_bij else "general"
+
+
+# ---------------------------------------------------------------------------
 # independent homology oracle: full boundary matrices, simple row reduction
 
 

@@ -34,6 +34,7 @@ from enriched_ph import (
     level_grid,
     ph_grid,
     ph_map,
+    scale_grid,
     sublevel,
     sup_distance,
     superlevel_duality_check,
@@ -436,7 +437,7 @@ def test_criterion_10_oracle_equivalence():
         metric = ds.pseudometric()
         ev = PHEvaluator(ds, 2)
         for m in ds:
-            for r in ev.r_values():
+            for r in scale_grid(ds):
                 for s in level_grid([m]):
                     pts = sublevel(m, s)
                     for d in (0, 1):
@@ -450,7 +451,7 @@ def test_criterion_10_oracle_equivalence():
         metric = ds.pseudometric()
         ev = PHEvaluator(ds, 2)
         for m in ds:
-            for r in ev.r_values():
+            for r in scale_grid(ds):
                 for s in level_grid([m]):
                     pts = sublevel(m, s)
                     for d in (0, 1):
@@ -469,7 +470,7 @@ def test_criterion_10_oracle_equivalence():
             metric = d2.pseudometric()
             ev = PHEvaluator(d2, 2)
             for m in d2:
-                for r in ev.r_values():
+                for r in scale_grid(d2):
                     for s in level_grid([m]):
                         pts = sublevel(m, s)
                         for d in (0, 1):

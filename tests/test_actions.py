@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enriched_ph import (
     DataSet,
@@ -23,9 +25,17 @@ from enriched_ph import (
     indistinguishable,
     is_independent,
     is_operation,
+    operation_violation,
     universal_incarnation,
 )
-from conftest import random_incarnation, random_permutation, random_transitive_group_incarnation
+from conftest import (
+    oracle_aut,
+    oracle_end,
+    oracle_kind,
+    random_incarnation,
+    random_permutation,
+    random_transitive_group_incarnation,
+)
 
 
 def two_orbit_group():
@@ -90,6 +100,55 @@ def test_enumerate_guard():
     with pytest.raises(GuardExceeded):
         enumerate_end(small, guard=2)
     assert len(enumerate_end(small, guard=3).ops) == 27  # override admits it
+
+
+# point names that do not sort in domain order, so the two enumeration orders differ
+NAME_SETS = (("b", "a", "c", "e", "d"), ("x10", "x2", "x1", "x3", "x0"), ("p0", "p1", "p2", "p3", "p4"))
+
+
+@st.composite
+def datasets_under_maps(draw):
+    """A data set on 2-5 points, closed (up to about 10 measurements) under
+    a few random maps, together with those maps."""
+    n = draw(st.integers(2, 5))
+    names = draw(st.permutations(draw(st.sampled_from(NAME_SETS))[:n]))
+    images = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * n), max_size=3))
+    meas = set(draw(st.lists(st.tuples(*[st.sampled_from((0, 1, 2))] * n), min_size=1, max_size=3)))
+    frontier = list(meas)
+    while frontier and len(meas) < 10:
+        cur = frontier.pop()
+        for img in images:
+            nxt = tuple(cur[j] for j in img)
+            if nxt not in meas:
+                meas.add(nxt)
+                frontier.append(nxt)
+    dom = Domain(names)
+    maps = [PointMap(dom, dom, {p: names[j] for p, j in zip(names, img)}) for img in images]
+    return DataSet(dom, [(None, v) for v in sorted(meas)]), maps
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(datasets_under_maps())
+def test_search_equals_brute_force(case):
+    ds, maps = case
+    end, aut = enumerate_end(ds).ops, enumerate_aut(ds).ops
+    assert list(end) == oracle_end(ds)
+    assert list(aut) == oracle_aut(ds)
+    given_ops = [g for g in maps if g in end]
+    # the oracle multiplies every pair of PointMaps, so a large End is checked on a prefix
+    for ops in (given_ops, given_ops + [PointMap.identity(ds.domain)], aut, end[:300]):
+        assert Incarnation(ds, ops).kind == oracle_kind(ops, ds.domain)
+
+
+def test_operation_violation_names_the_first_measurement_that_leaves(fixture_a):
+    ds = fixture_a["both"]
+    g = PointMap(ds.domain, ds.domain, {"x1": "x4", "x2": "x2", "x3": "x3", "x4": "x1"})
+    bad = operation_violation(g, ds)
+    assert bad is ds.measurements[0]
+    with pytest.raises(NotOperation) as info:
+        Incarnation(ds, [g])
+    assert info.value.measurement is bad
+    assert operation_violation(PointMap.identity(ds.domain), ds) is None
 
 
 # ---------------------------------------------------------------------------

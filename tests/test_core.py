@@ -372,6 +372,23 @@ def test_conflicting_names_rejected():
         DataSet(dom, [("u", [1]), ("u", [2])])
 
 
+def test_membership_needs_the_same_domain():
+    ds = DataSet(Domain(["a", "b"]), [("u", [1, 2])])
+    assert Measurement(Domain(["a", "b"]), [1, 2]) in ds
+    assert Measurement(Domain(["b", "a"]), [1, 2]) not in ds
+    assert (1, 2) not in ds
+
+
+def test_find_returns_the_stored_copy_with_its_aliases():
+    dom = Domain(["a", "b"])
+    ds = DataSet(dom, [("u", [1, 2]), ("v", [1, 2]), ("w", [0, 0])])
+    found = ds.find(Measurement(dom, ["1", "2"]))
+    assert found.aliases == ("u", "v")
+    assert found is ds.by_name("v")
+    with pytest.raises(KeyError, match="not in data set"):
+        ds.find(Measurement(dom, [2, 1]))
+
+
 def test_dataset_json_round_trip(fixture_a):
     ds = fixture_a["both"]
     again = DataSet.from_json_dict(json.loads(json.dumps(ds.to_json_dict())))

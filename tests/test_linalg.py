@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enriched_ph import PHEvaluator, homology, level_grid, sublevel, vr_complex
+from enriched_ph import homology, level_grid, scale_grid, sublevel, vr_complex
 from enriched_ph.linalg import ColumnSolver, ModMatrix, kernel_basis
 from conftest import oracle_homology_dim, oracle_rank, random_dataset
 
@@ -96,9 +96,8 @@ def test_coords_reproduce_accepted_columns(case, coeffs, data):
 def test_homology_dims_match_oracle_at_odd_primes(seed, p):
     ds = random_dataset(random.Random(seed), max_points=5, max_meas=2)
     metric = ds.pseudometric()
-    ev = PHEvaluator(ds, p)
     for m in ds:
-        for r in ev.r_values():
+        for r in scale_grid(ds):
             for s in level_grid([m]):
                 pts = sublevel(m, s)
                 for d in (0, 1, 2):

@@ -32,6 +32,7 @@ from enriched_ph import (
     ph_functor,
     ph_grid,
     ph_map,
+    scale_grid,
     slice_barcode,
     sublevel,
     superlevel_duality_check,
@@ -442,7 +443,7 @@ def test_interleave_shifted_measurement():
     res = interleaving_bounds(ds, ds.by_name("f"), ds.by_name("g"), 0, 2)
     assert res.upper == c
     assert res.lower == c  # slice barcodes shift by exactly c
-    for r in PHEvaluator(ds, 2).r_values():
+    for r in scale_grid(ds):
         bars_f = slice_barcode(ds, ds.by_name("f"), 0, 2, r)
         bars_g = slice_barcode(ds, ds.by_name("g"), 0, 2, r)
         shifted = [
