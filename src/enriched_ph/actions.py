@@ -172,13 +172,14 @@ class Incarnation:
         ordered = []
         auto = 0
         ident = PointMap.identity(dataset.domain)
+        taken = {a for o in seen.values() for a in o.aliases}
         for key in sorted(seen):
             g = seen[key]
             if not g.aliases:
                 if g == ident:
                     g = g.with_aliases(("id",))
                 else:
-                    while f"g{auto}" in {a for o in seen.values() for a in o.aliases}:
+                    while f"g{auto}" in taken:
                         auto += 1
                     g = g.with_aliases((f"g{auto}",))
                     auto += 1

@@ -63,14 +63,21 @@ def _guard(default: int = DEFAULT_ENUM_GUARD) -> int:
     return default
 
 
-def _load_json(path):
+# What a reader raises on a missing field or a field of the wrong type.
+_BAD_FIELD = (KeyError, ValueError, TypeError, AttributeError)
+
+
+def _load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise CliError(EXIT_INPUT, f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_INPUT, f"malformed JSON in {path}: {exc}")
+    if not isinstance(data, dict):
+        raise CliError(EXIT_INPUT, f"{path} must hold a JSON object, not {type(data).__name__}")
+    return data
 
 
 def _parse(cls, data, path):
@@ -82,7 +89,7 @@ def _parse(cls, data, path):
             EXIT_INCARNATION,
             f"{exc.op.name} is not an operation: moves {exc.measurement.name} out of the set",
         )
-    except (KeyError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         what = "incarnation" if cls is Incarnation else "data set"
         raise CliError(EXIT_INPUT, f"bad {what} {path}: {exc}")
 
@@ -231,7 +238,7 @@ def _load_seo_maps(path, source, target):
             for k, v in data["alpha"].items()
         }
         tmap = {source.op_by_name(k): target.op_by_name(v) for k, v in data["T"].items()}
-    except KeyError as exc:
+    except _BAD_FIELD as exc:
         raise CliError(EXIT_INPUT, f"bad operator file {path}: {exc}")
     return alpha, tmap
 
@@ -279,7 +286,7 @@ def cmd_seo_extend(args) -> int:
         }
         tmap = {source.op_by_name(k): target.op_by_name(v) for k, v in data["T"].items()}
         variant = data.get("variant", "SEO")
-    except KeyError as exc:
+    except _BAD_FIELD as exc:
         raise CliError(EXIT_INPUT, f"bad extension file {args.map}: {exc}")
     try:
         seo = extend_from_basis(source, target, basis, alpha_bar, tmap, variant)
@@ -298,7 +305,7 @@ def cmd_seo_realize(args) -> int:
     data = _load_json(args.alpha)
     try:
         alpha = {source.by_name(k): target.by_name(v) for k, v in data.items()}
-    except KeyError as exc:
+    except _BAD_FIELD as exc:
         raise CliError(EXIT_INPUT, f"bad measurement map: {exc}")
     for m in source:
         if m not in alpha:
@@ -333,7 +340,7 @@ def cmd_seo_units(args) -> int:
     inc = _load_incarnation(args.incarnation)
     try:
         vm = ValueMap.from_json_dict(_load_json(args.valuemap))
-    except (KeyError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         raise CliError(EXIT_INPUT, f"bad value map: {exc}")
     try:
         out, seo = change_units_seo(vm, inc)

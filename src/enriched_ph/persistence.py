@@ -210,52 +210,51 @@ def induced_map(src_space: HomologySpace, dst_space: HomologySpace, vmap) -> Mod
 
 
 class PHEvaluator:
-    """Caching engine for one data set: complexes, homology spaces, and
-    induced matrices keyed by (vertex set, scale).  Sublevel queries at
-    arbitrary exact parameters resolve to the same cached objects, which makes
-    interleaving checks cheap."""
+    """Caching engine for one data set, with two caches.
+
+    Homology spaces are keyed by (vertex set, scale, degree): the vertex set
+    in any order, the scale exactly as given.  So two level queries share a
+    space only when they give the same sublevel set, and two scales share
+    one only when they are equal (ev.homology(V, 1, 1) is not
+    ev.homology(V, 3/2, 1), though their complexes may agree).
+
+    Induced matrices are keyed by (source space, target space, image tuple of
+    the vertex map, or None for an inclusion).  The target space may belong
+    to another evaluator, as in ph_map between two data sets.
+    """
 
     def __init__(self, dataset: DataSet, p: int = 2):
         self.dataset = dataset
         self.p = check_prime(p)
         self.metric = dataset.pseudometric()
-        self._cx = {}
         self._hom = {}
-        self._incl = {}
-        self._vmap = {}
+        self._maps = {}
 
     def dist(self, a, b):
         return self.metric.at(a, b)
 
-    def complex(self, vertices, r, cap) -> SimplicialComplex:
-        key = (frozenset(vertices), r, cap)
-        if key not in self._cx:
-            ordered = tuple(p for p in self.dataset.domain.points if p in key[0])
-            self._cx[key] = vr_complex(ordered, self.dist, r, cap)
-        return self._cx[key]
-
     def homology(self, vertices, r, d) -> HomologySpace:
         key = (frozenset(vertices), r, d)
-        if key not in self._hom:
-            self._hom[key] = HomologySpace(self.complex(vertices, r, d + 1), d, self.p)
-        return self._hom[key]
+        space = self._hom.get(key)
+        if space is None:
+            ordered = tuple(p for p in self.dataset.domain.points if p in key[0])
+            cx = vr_complex(ordered, self.dist, r, d + 1)
+            space = self._hom[key] = HomologySpace(cx, d, self.p)
+        return space
+
+    def _map(self, src: HomologySpace, dst: HomologySpace, g: PointMap = None) -> ModMatrix:
+        key = (src, dst, None if g is None else g.image_tuple())
+        mat = self._maps.get(key)
+        if mat is None:
+            vmap = {v: v if g is None else g(v) for v in src.complex.points}
+            mat = self._maps[key] = induced_map(src, dst, vmap)
+        return mat
 
     def inclusion_matrix(self, src_vertices, src_r, dst_vertices, dst_r, d) -> ModMatrix:
-        key = (frozenset(src_vertices), src_r, frozenset(dst_vertices), dst_r, d)
-        if key not in self._incl:
-            src = self.homology(src_vertices, src_r, d)
-            dst = self.homology(dst_vertices, dst_r, d)
-            vmap = {v: v for v in src.complex.points}
-            self._incl[key] = induced_map(src, dst, vmap)
-        return self._incl[key]
+        return self._map(self.homology(src_vertices, src_r, d), self.homology(dst_vertices, dst_r, d))
 
-    def vertexmap_matrix(self, src_vertices, dst_vertices, r, g: PointMap, d) -> ModMatrix:
-        key = (frozenset(src_vertices), frozenset(dst_vertices), r, g.image_tuple(), d)
-        if key not in self._vmap:
-            src = self.homology(src_vertices, r, d)
-            dst = self.homology(dst_vertices, r, d)
-            self._vmap[key] = induced_map(src, dst, {v: g(v) for v in src.complex.points})
-        return self._vmap[key]
+    def vertexmap_matrix(self, src: HomologySpace, dst: HomologySpace, g: PointMap) -> ModMatrix:
+        return self._map(src, dst, g)
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +432,11 @@ def ph_map(source_bp: BigradedPersistence, target_bp: BigradedPersistence, reali
     Y, target the persistence of the preimage measurement on X."""
     if source_bp.grid != target_bp.grid:
         raise ValueError("the two persistences must be evaluated on one grid")
-    cache = {}
-    mats = []
-    for i in range(len(source_bp.grid.r_values)):
-        row = []
-        for j in range(len(source_bp.grid.s_values)):
-            src = source_bp.spaces[i][j]
-            dst = target_bp.spaces[i][j]
-            key = (id(src), id(dst))
-            if key not in cache:
-                cache[key] = induced_map(src, dst, {v: realization(v) for v in src.complex.points})
-            row.append(cache[key])
-        mats.append(row)
+    ev = source_bp.evaluator
+    mats = [
+        [ev.vertexmap_matrix(src, dst, realization) for src, dst in zip(src_row, dst_row)]
+        for src_row, dst_row in zip(source_bp.spaces, target_bp.spaces)
+    ]
     return GridMap(source_bp.grid, mats, source_bp, target_bp)
 
 
@@ -466,24 +458,7 @@ def ph_functor(inc, degree: int, p: int, r_values=None, s_values=None) -> GraphF
         for m in inc.dataset
     }
     graph = build_graph(inc)
-    arrows = {}
-    for (m, g, mg) in graph.edges:
-        src_bp, dst_bp = objects[mg], objects[m]
-        mats = []
-        for i, r in enumerate(rv):
-            row = []
-            for j, s in enumerate(sv):
-                row.append(
-                    ev.vertexmap_matrix(
-                        src_bp.spaces[i][j].complex.points,
-                        dst_bp.spaces[i][j].complex.points,
-                        r,
-                        g,
-                        degree,
-                    )
-                )
-            mats.append(row)
-        arrows[(m, g, mg)] = GridMap(src_bp.grid, mats, src_bp, dst_bp)
+    arrows = {(m, g, mg): ph_map(objects[mg], objects[m], g) for (m, g, mg) in graph.edges}
     functor = GraphFunctor(graph, objects, arrows)
     if inc.kind in ("monoid", "group"):
         bad = functor.violation(lambda a, b: a * b)
@@ -535,27 +510,30 @@ def interleave_upper(
     seen = set()
 
     def incl(sub_a, r_a, sub_b, r_b):
-        if not set(sub_a) <= set(sub_b):
-            raise VerificationError((sub_a, sub_b), f"sublevel {sub_a!r} is not inside {sub_b!r}")
         return ev.inclusion_matrix(sub_a, r_a, sub_b, r_b, degree)
+
+    def nested(*pairs):
+        for small, big in pairs:
+            if not set(small) <= set(big):
+                raise VerificationError((small, big), f"sublevel {small!r} is not inside {big!r}")
 
     for s in sv:
         for a, b in ((phi, psi), (psi, phi)):
             A0 = sublevel(a, s)
             B1 = sublevel(b, s + eps)
             A2 = sublevel(a, s + 2 * eps)
-            for r in rv:
-                key = (frozenset(A0), frozenset(B1), frozenset(A2), r, a is phi)
-                if key in seen:
-                    continue
+            key = (frozenset(A0), frozenset(B1), frozenset(A2), a is phi)
+            if key not in seen:
                 seen.add(key)
-                f = incl(A0, r, B1, r)
-                g = incl(B1, r, A2, r)
-                if g @ f != incl(A0, r, A2, r):
-                    raise VerificationError(
-                        (A0, B1, A2, r), "interleaving triangle does not commute"
-                    )
-                triangles += 1
+                nested((A0, B1), (B1, A2))
+                for r in rv:
+                    f = incl(A0, r, B1, r)
+                    g = incl(B1, r, A2, r)
+                    if g @ f != incl(A0, r, A2, r):
+                        raise VerificationError(
+                            (A0, B1, A2, r), "interleaving triangle does not commute"
+                        )
+                    triangles += 1
             for ri in range(len(rv) - 1):
                 f0 = incl(A0, rv[ri], B1, rv[ri])
                 f1 = incl(A0, rv[ri + 1], B1, rv[ri + 1])
@@ -568,11 +546,12 @@ def interleave_upper(
         for a, b in ((phi, psi), (psi, phi)):
             A0, A1 = sublevel(a, sv[si]), sublevel(a, sv[si + 1])
             B0, B1 = sublevel(b, sv[si] + eps), sublevel(b, sv[si + 1] + eps)
+            key = (frozenset(A0), frozenset(A1), frozenset(B0), frozenset(B1), a is phi)
+            if key in seen:
+                continue
+            seen.add(key)
+            nested((B0, B1), (A0, B0), (A1, B1), (A0, A1))
             for r in rv:
-                key = (frozenset(A0), frozenset(A1), frozenset(B0), frozenset(B1), r, a is phi)
-                if key in seen:
-                    continue
-                seen.add(key)
                 lhs = incl(B0, r, B1, r) @ incl(A0, r, B0, r)
                 rhs = incl(A1, r, B1, r) @ incl(A0, r, A1, r)
                 if lhs != rhs:

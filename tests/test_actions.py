@@ -230,6 +230,25 @@ def test_incarnation_json_round_trip(fixture_b):
     assert again.kind == "monoid"
 
 
+def test_unnamed_operations_take_free_names_in_image_order():
+    dom = Domain(["x1", "x2", "x3"])
+    ds = DataSet(dom, [("c", [0, 0, 0])])
+
+    def op(*images):
+        return PointMap(dom, dom, dict(zip(dom.points, images)))
+
+    inc = Incarnation(
+        ds,
+        [op("x3", "x3", "x3"), ("g2", op("x1", "x1", "x1")), op("x1", "x1", "x2"), ("g0", op("x2", "x2", "x2"))],
+    )
+    assert [(g.name, g.image_tuple()) for g in inc.ops] == [
+        ("g2", ("x1", "x1", "x1")),
+        ("g1", ("x1", "x1", "x2")),
+        ("g0", ("x2", "x2", "x2")),
+        ("g3", ("x3", "x3", "x3")),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # deformation closure
 

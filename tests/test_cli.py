@@ -140,6 +140,42 @@ def test_ph_bad_modulus_or_degree_exit_2(files, capsys, flags):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+WRONG_SHAPES = [[], 5, {"domain": 5, "measurements": {}}]
+ONE_POINT = {"domain": ["p"], "measurements": {"f": ["7"]}}
+EXTENSION = {"basis": ["phi1"], "alpha_bar": {"phi1": "phi1"}, "T": {"id": "id"}}
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (argv, bad)
+        for argv in (["metric", "BAD"], ["ph", "BAD", "-m", "f"], ["ops", "end", "BAD"])
+        for bad in WRONG_SHAPES
+    ]
+    + [
+        (["ph", "BAD", "-m", "f"], {"dataset": ONE_POINT, "M": []}),
+        (["ph", "BAD", "-m", "f"], {"dataset": ONE_POINT, "M": {"id": 5}}),
+        (["ph", "BAD", "-m", "f"], {"domain": ["p"], "measurements": {"f": 7}}),
+        (["seo", "check", "--source", "INC", "--target", "INC", "--seo", "BAD"], {"alpha": [], "T": {}}),
+        (["seo", "extend", "--source", "INC", "--target", "INC", "--map", "BAD"], dict(EXTENSION, basis=5)),
+        (["seo", "extend", "--source", "INC", "--target", "INC", "--map", "BAD"], dict(EXTENSION, T=[])),
+        (["seo", "realize", "--source", "LEFT", "--target", "LEFT", "--alpha", "BAD"], {"one": ["one"]}),
+        (["seo", "realize", "--source", "LEFT", "--target", "LEFT", "--alpha", "BAD"], []),
+        (["seo", "units", "--valuemap", "BAD", "--incarnation", "INC"], {"table": 5}),
+    ],
+)
+def test_wrong_shape_json_exit_2(files, capsys, argv, bad):
+    _, write = files
+    paths = {
+        "BAD": write("bad.json", bad),
+        "INC": write("b.json", FIXTURE_B),
+        "LEFT": write("left.json", FIXTURE_C_LEFT),
+    }
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_ph_single_point_bar(files, capsys, tmp_path):
     _, write = files
     path = write("one.json", {"domain": ["p"], "measurements": {"f": ["7"]}})

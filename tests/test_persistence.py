@@ -41,7 +41,7 @@ from enriched_ph import (
     vr_complex,
 )
 from enriched_ph.persistence import INF
-from conftest import oracle_homology_dim, random_dataset
+from conftest import oracle_homology_dim, random_dataset, random_incarnation
 
 F = Fraction
 
@@ -415,6 +415,49 @@ def test_realization_independence():
             assert ph_map(bp_mid, bp_src, other) == first
 
 
+def _fresh_space(ds, m, r, s, d):
+    """H_d at (r, s) with no evaluator and no cache."""
+    return homology(vr_complex(sublevel(m, s), ds.pseudometric().at, r, d + 1), d, 2)
+
+
+def test_map_memo_equals_maps_between_fresh_spaces():
+    # in the swap incarnation the edges (phi, id, phi) and (phi, swap, psi)
+    # map between the same spaces wherever both sublevels are {a, b}
+    dom = Domain(["a", "b"])
+    swap = PointMap(dom, dom, {"a": "b", "b": "a"})
+    swapped = Incarnation(DataSet(dom, [("phi", [0, 1]), ("psi", [1, 0])]), [PointMap.identity(dom), swap])
+    rng = random.Random(71)
+    for inc in [swapped] + [random_incarnation(rng) for _ in range(6)]:
+        d = 0 if inc is swapped else rng.choice((0, 1))
+        functor = ph_functor(inc, d, 2)
+        grid = next(iter(functor.objects.values())).grid
+        cells = list(itertools.product(enumerate(grid.r_values), enumerate(grid.s_values)))
+        for (m, g, mg), arrow in functor.arrows.items():
+            for (i, r), (j, s) in cells:
+                src, dst = _fresh_space(inc.dataset, mg, r, s, d), _fresh_space(inc.dataset, m, r, s, d)
+                assert arrow.at(i, j) == induced_map(src, dst, {v: g(v) for v in src.complex.points})
+    for _ in range(6):
+        ds, mid, _, f, _, alpha, _ = _composable_geometric_pair(rng)
+        phi = next(iter(ds))
+        rv, sv = _shared_grid([ds, mid], [phi, alpha[phi]])
+        d = rng.choice((0, 1))
+        bp_src = ph_grid(ds, phi, d, 2, r_values=rv, s_values=sv)
+        bp_mid = ph_grid(mid, alpha[phi], d, 2, r_values=rv, s_values=sv)
+        grid_map = ph_map(bp_mid, bp_src, f)
+        assert ph_map(bp_mid, bp_src, f) == grid_map  # read back from the memo
+        for (i, r), (j, s) in itertools.product(enumerate(rv), enumerate(sv)):
+            src, dst = _fresh_space(mid, alpha[phi], r, s, d), _fresh_space(ds, phi, r, s, d)
+            assert grid_map.at(i, j) == induced_map(src, dst, {v: f(v) for v in src.complex.points})
+
+
+def test_homology_cache_keys_vertex_sets_not_orders_and_scales_as_given(fixture_a):
+    both = fixture_a["both"]
+    ev = PHEvaluator(both, 2)
+    pts = both.domain.points
+    assert ev.homology(pts, F(1), 1) is ev.homology(pts[::-1], F(1), 1)
+    assert ev.homology(pts, F(1), 1) is not ev.homology(pts, F(3, 2), 1)
+
+
 # ---------------------------------------------------------------------------
 # interleavings
 
@@ -450,6 +493,17 @@ def test_interleave_shifted_measurement():
             (b + c, d + c if d != INF else INF) for b, d in bars_f
         ]
         assert sorted(shifted) == sorted(bars_g)
+
+
+def test_interleave_names_the_sublevels_that_do_not_nest(fixture_a, monkeypatch):
+    # at half the true distance, sublevel(phi, -1) is not inside sublevel(psi, -1/2)
+    import enriched_ph.persistence as persistence
+
+    monkeypatch.setattr(persistence, "sup_distance", lambda a, b: sup_distance(a, b) / 2)
+    both = fixture_a["both"]
+    with pytest.raises(VerificationError) as info:
+        interleave_upper(both, both.by_name("phi"), both.by_name("psi"), 1, 2)
+    assert info.value.witness == (("x1",), ("x3",))
 
 
 def test_interleave_random_never_fails():
