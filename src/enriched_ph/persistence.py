@@ -12,6 +12,7 @@ the s-grid carries one sentinel value below the measurement minimum so the
 empty complex is represented on-grid.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,8 +26,40 @@ from .linalg import ColumnSolver, ModMatrix, kernel_basis
 INF = math.inf
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all these bases (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", 2017): below it the test is exact
+_MODULUS_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Trial division by the bases, then a strong probable-prime test to
+    each of them."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, t = n - 1, 0
+    while d % 2 == 0:
+        d, t = d // 2, t + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(t - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def check_prime(p: int) -> int:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    if p >= _MODULUS_BOUND:
+        raise ValueError(f"coefficient modulus at or above {_MODULUS_BOUND} is not supported")
+    if not _is_prime(p):
         raise ValueError(f"coefficient modulus {p} is not prime")
     return p
 
@@ -221,6 +254,9 @@ class PHEvaluator:
     Induced matrices are keyed by (source space, target space, image tuple of
     the vertex map, or None for an inclusion).  The target space may belong
     to another evaluator, as in ph_map between two data sets.
+    inclusion_matrix resolves both spaces through homology on every call;
+    interleave_upper instead looks up one row of spaces per sublevel set, once
+    per call, and reads this memo by space through _map.
     """
 
     def __init__(self, dataset: DataSet, p: int = 2):
@@ -508,55 +544,69 @@ def interleave_upper(
     sv = tuple(sorted(set(level_grid([phi])) | set(level_grid([psi]))))
     triangles = squares = 0
     seen = set()
+    rows = {}
 
-    def incl(sub_a, r_a, sub_b, r_b):
-        return ev.inclusion_matrix(sub_a, r_a, sub_b, r_b, degree)
+    def sublevels(m):
+        # sublevel(m, s) for any s: the points of the k lowest values, in domain order
+        order = sorted(range(len(m.values)), key=m.values.__getitem__)
+        vals, pts = [m.values[i] for i in order], m.domain.points
+        subs = [tuple(pts[i] for i in sorted(order[:k])) for k in range(len(order) + 1)]
+        return lambda s: subs[bisect.bisect_right(vals, s)]
+
+    def row(vertices):
+        spaces = rows.get(vertices)
+        if spaces is None:
+            spaces = rows[vertices] = [ev.homology(vertices, r, degree) for r in rv]
+        return spaces
 
     def nested(*pairs):
         for small, big in pairs:
             if not set(small) <= set(big):
                 raise VerificationError((small, big), f"sublevel {small!r} is not inside {big!r}")
 
+    incl = ev._map
+    at_phi, at_psi = sublevels(phi), sublevels(psi)
+    sides = ((phi, at_phi, at_psi), (psi, at_psi, at_phi))
     for s in sv:
-        for a, b in ((phi, psi), (psi, phi)):
-            A0 = sublevel(a, s)
-            B1 = sublevel(b, s + eps)
-            A2 = sublevel(a, s + 2 * eps)
-            key = (frozenset(A0), frozenset(B1), frozenset(A2), a is phi)
+        for a, sub_a, sub_b in sides:
+            A0, B1, A2 = sub_a(s), sub_b(s + eps), sub_a(s + 2 * eps)
+            key = (A0, B1, A2, a is phi)
             if key not in seen:
                 seen.add(key)
                 nested((A0, B1), (B1, A2))
-                for r in rv:
-                    f = incl(A0, r, B1, r)
-                    g = incl(B1, r, A2, r)
-                    if g @ f != incl(A0, r, A2, r):
+                a0, b1, a2 = row(A0), row(B1), row(A2)
+                for i in range(len(rv)):
+                    f = incl(a0[i], b1[i])
+                    g = incl(b1[i], a2[i])
+                    if g @ f != incl(a0[i], a2[i]):
                         raise VerificationError(
-                            (A0, B1, A2, r), "interleaving triangle does not commute"
+                            (A0, B1, A2, rv[i]), "interleaving triangle does not commute"
                         )
                     triangles += 1
-            for ri in range(len(rv) - 1):
-                f0 = incl(A0, rv[ri], B1, rv[ri])
-                f1 = incl(A0, rv[ri + 1], B1, rv[ri + 1])
-                if incl(B1, rv[ri], B1, rv[ri + 1]) @ f0 != f1 @ incl(A0, rv[ri], A0, rv[ri + 1]):
+            a0, b1 = row(A0), row(B1)
+            for i in range(len(rv) - 1):
+                f0, f1 = incl(a0[i], b1[i]), incl(a0[i + 1], b1[i + 1])
+                if incl(b1[i], b1[i + 1]) @ f0 != f1 @ incl(a0[i], a0[i + 1]):
                     raise VerificationError(
-                        (A0, B1, rv[ri], rv[ri + 1]), "shift maps not natural in the scale direction"
+                        (A0, B1, rv[i], rv[i + 1]), "shift maps not natural in the scale direction"
                     )
                 squares += 1
     for si in range(len(sv) - 1):
-        for a, b in ((phi, psi), (psi, phi)):
-            A0, A1 = sublevel(a, sv[si]), sublevel(a, sv[si + 1])
-            B0, B1 = sublevel(b, sv[si] + eps), sublevel(b, sv[si + 1] + eps)
-            key = (frozenset(A0), frozenset(A1), frozenset(B0), frozenset(B1), a is phi)
+        for a, sub_a, sub_b in sides:
+            A0, A1 = sub_a(sv[si]), sub_a(sv[si + 1])
+            B0, B1 = sub_b(sv[si] + eps), sub_b(sv[si + 1] + eps)
+            key = (A0, A1, B0, B1, a is phi)
             if key in seen:
                 continue
             seen.add(key)
             nested((B0, B1), (A0, B0), (A1, B1), (A0, A1))
-            for r in rv:
-                lhs = incl(B0, r, B1, r) @ incl(A0, r, B0, r)
-                rhs = incl(A1, r, B1, r) @ incl(A0, r, A1, r)
+            a0, a1, b0, b1 = row(A0), row(A1), row(B0), row(B1)
+            for i in range(len(rv)):
+                lhs = incl(b0[i], b1[i]) @ incl(a0[i], b0[i])
+                rhs = incl(a1[i], b1[i]) @ incl(a0[i], a1[i])
                 if lhs != rhs:
                     raise VerificationError(
-                        (A0, A1, B0, B1, r), "shift maps not natural in the level direction"
+                        (A0, A1, B0, B1, rv[i]), "shift maps not natural in the level direction"
                     )
                 squares += 1
     return InterleavingResult(

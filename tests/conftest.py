@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from enriched_ph import DataSet, Domain, Incarnation, PointMap
+from enriched_ph import DataSet, Domain, Incarnation, PointMap, VerificationError
+from enriched_ph.core import format_rational, sup_distance
+from enriched_ph.persistence import InterleavingResult, PHEvaluator, level_grid, scale_grid, sublevel
 
 HALF_LATTICE = [Fraction(k, 2) for k in range(-6, 7)]
 
@@ -242,3 +244,60 @@ def oracle_matching(left_count: int, adjacency) -> bool:
         return False
 
     return all(augment(u, set()) for u in range(left_count))
+
+
+# ---------------------------------------------------------------------------
+# interleaving oracle: every map looked up by (vertices, scale) pairs
+
+
+def oracle_interleave_upper(dataset: DataSet, phi, psi, degree: int, p: int, evaluator=None) -> InterleavingResult:
+    """The sublevel-inclusion certificate of interleave_upper, walked by
+    sublevel and scale values through PHEvaluator.inclusion_matrix."""
+    phi, psi = dataset.find(phi), dataset.find(psi)
+    ev = evaluator if evaluator is not None else PHEvaluator(dataset, p)
+    eps = sup_distance(phi, psi)
+    rv = scale_grid(dataset)
+    sv = tuple(sorted(set(level_grid([phi])) | set(level_grid([psi]))))
+    triangles = squares = 0
+    seen = set()
+
+    def incl(sub_a, r_a, sub_b, r_b):
+        return ev.inclusion_matrix(sub_a, r_a, sub_b, r_b, degree)
+
+    def nested(*pairs):
+        for small, big in pairs:
+            if not set(small) <= set(big):
+                raise VerificationError((small, big), f"sublevel {small!r} is not inside {big!r}")
+
+    for s in sv:
+        for a, b in ((phi, psi), (psi, phi)):
+            A0, B1, A2 = sublevel(a, s), sublevel(b, s + eps), sublevel(a, s + 2 * eps)
+            key = (frozenset(A0), frozenset(B1), frozenset(A2), a is phi)
+            if key not in seen:
+                seen.add(key)
+                nested((A0, B1), (B1, A2))
+                for r in rv:
+                    if incl(B1, r, A2, r) @ incl(A0, r, B1, r) != incl(A0, r, A2, r):
+                        raise VerificationError((A0, B1, A2, r), "interleaving triangle does not commute")
+                    triangles += 1
+            for r0, r1 in zip(rv, rv[1:]):
+                if incl(B1, r0, B1, r1) @ incl(A0, r0, B1, r0) != incl(A0, r1, B1, r1) @ incl(A0, r0, A0, r1):
+                    raise VerificationError((A0, B1, r0, r1), "shift maps not natural in the scale direction")
+                squares += 1
+    for s0, s1 in zip(sv, sv[1:]):
+        for a, b in ((phi, psi), (psi, phi)):
+            A0, A1 = sublevel(a, s0), sublevel(a, s1)
+            B0, B1 = sublevel(b, s0 + eps), sublevel(b, s1 + eps)
+            key = (frozenset(A0), frozenset(A1), frozenset(B0), frozenset(B1), a is phi)
+            if key in seen:
+                continue
+            seen.add(key)
+            nested((B0, B1), (A0, B0), (A1, B1), (A0, A1))
+            for r in rv:
+                if incl(B0, r, B1, r) @ incl(A0, r, B0, r) != incl(A1, r, B1, r) @ incl(A0, r, A1, r):
+                    raise VerificationError((A0, A1, B0, B1, r), "shift maps not natural in the level direction")
+                squares += 1
+    return InterleavingResult(
+        upper=eps,
+        certificate={"triangles": triangles, "squares": squares, "epsilon": format_rational(eps)},
+    )

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -228,6 +230,37 @@ def test_interleave_missing_measurement(files):
     _, write = files
     path = write("psi.json", FIXTURE_A_BOTH)
     assert main(["interleave", path, "--phi", "phi", "--psi", "nope"]) == 2
+
+
+def test_interleave_accepts_a_large_prime_modulus(files, capsys):
+    _, write = files
+    path = write("psi.json", FIXTURE_A_BOTH)
+    assert main(["interleave", path, "--phi", "phi", "--psi", "psi", "-p", str(2**61 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["upper"] == "1"
+
+
+@pytest.mark.parametrize("modulus", ["561", "1" + "0" * 400])
+def test_interleave_carmichael_or_huge_modulus_exit_2(files, capsys, modulus):
+    _, write = files
+    path = write("psi.json", FIXTURE_A_BOTH)
+    assert main(["interleave", path, "--phi", "phi", "--psi", "psi", "-p", modulus]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, code", [([], 0), (["-p", "4"], 2)])
+def test_python_m_runs_the_cli(files, flags, code):
+    _, write = files
+    path = write("psi.json", FIXTURE_A_BOTH)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "enriched_ph", "interleave", path, "--phi", "phi", "--psi", "psi", *flags],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["upper"] == "1"
 
 
 def test_seo_check_identity(files, capsys):

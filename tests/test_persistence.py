@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enriched_ph import (
     DataSet,
@@ -40,8 +43,15 @@ from enriched_ph import (
     universal_incarnation,
     vr_complex,
 )
-from enriched_ph.persistence import INF
-from conftest import oracle_homology_dim, random_dataset, random_incarnation
+from enriched_ph.persistence import INF, check_prime
+from enriched_ph.linalg import ModMatrix
+from conftest import (
+    HALF_LATTICE,
+    oracle_homology_dim,
+    oracle_interleave_upper,
+    random_dataset,
+    random_incarnation,
+)
 
 F = Fraction
 
@@ -186,6 +196,22 @@ def test_non_simplicial_map_rejected(fixture_a):
     vmap = {"x1": "x1", "x2": "x4", "x3": "x3", "x4": "x4"}
     with pytest.raises(SimplicialMapError):
         induced_map(h, h, vmap)
+
+
+def test_check_prime_agrees_with_trial_division():
+    for n in range(-2, 5000):
+        trial = n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+        try:
+            accepted = check_prime(n) == n
+        except ValueError:
+            accepted = False
+        assert accepted == trial, n
+    # a Carmichael number, then the least strong pseudoprimes to the prime bases
+    # up to 7, 37 and 41; the last is the bound, refused as too large
+    for n in (561, 3215031751, 318665857834031151167461, 3317044064679887385961981):
+        with pytest.raises(ValueError):
+            check_prime(n)
+    assert check_prime(2**61 - 1) == 2**61 - 1 and check_prime(2**64 - 59) == 2**64 - 59
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +542,121 @@ def test_interleave_random_never_fails():
         for d in (0, 1):
             res = interleave_upper(ds, phi, psi, d, 2, evaluator=ev)
             assert res.upper == sup_distance(phi, psi)
+
+
+
+@st.composite
+def interleave_cases(draw):
+    """(data set, phi, psi, degree, p): 2-6 points, 2-4 half-integer measurements."""
+    n = draw(st.integers(2, 6))
+    vector = st.tuples(*[st.sampled_from(HALF_LATTICE)] * n)
+    vecs = draw(st.lists(vector, min_size=2, max_size=4, unique=True))
+    ds = DataSet(Domain([f"x{i}" for i in range(1, n + 1)]), [(f"f{i}", v) for i, v in enumerate(vecs)])
+    phi, psi = draw(st.sampled_from(list(ds))), draw(st.sampled_from(list(ds)))
+    return ds, phi, psi, draw(st.sampled_from([0, 1])), draw(st.sampled_from([2, 3]))
+
+
+def maps_read(ev):
+    """Every (vertex set, scale, degree) pair the evaluator computed a map between."""
+    key_of = {space: key for key, space in ev._hom.items()}
+    return {(key_of[src], key_of[dst]) for src, dst, _ in ev._maps}
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(interleave_cases())
+def test_interleave_equals_the_lookup_walker(case):
+    ds, phi, psi, d, p = case
+    ev, oracle_ev = PHEvaluator(ds, p), PHEvaluator(ds, p)
+    res = interleave_upper(ds, phi, psi, d, p, evaluator=ev)
+    want = oracle_interleave_upper(ds, phi, psi, d, p, evaluator=oracle_ev)
+    assert (res.upper, res.certificate) == (want.upper, want.certificate)
+    assert maps_read(ev) == maps_read(oracle_ev)
+
+
+FULL = ("x1", "x2", "x3", "x4")
+
+
+def zero_inclusions(monkeypatch, chosen):
+    """Make persistence.induced_map return zero for the chosen (source, target) spaces."""
+    import enriched_ph.persistence as persistence
+
+    real = persistence.induced_map
+
+    def induced(src, dst, vmap):
+        m = real(src, dst, vmap)
+        return ModMatrix.zeros(m.nrows, m.ncols, m.p) if chosen(src, dst) else m
+
+    monkeypatch.setattr(persistence, "induced_map", induced)
+
+
+@pytest.mark.parametrize(
+    "chosen, message, witness",
+    [
+        # the shift from sublevel(phi, -1) straight to sublevel(phi, 1)
+        (
+            lambda src, dst: (src.complex.points, dst.complex.points) == (("x1",), FULL),
+            "interleaving triangle",
+            (("x1",), ("x1", "x3", "x4"), FULL, F(0)),
+        ),
+        # every scale map of the whole domain
+        (
+            lambda src, dst: src.complex.points == dst.complex.points == FULL and src is not dst,
+            "scale direction",
+            (("x1", "x2", "x3"), FULL, F(0), F(1)),
+        ),
+        # the level map from sublevel(phi, -1) to sublevel(phi, 0)
+        (
+            lambda src, dst: (src.complex.points, dst.complex.points) == (("x1",), ("x1", "x2", "x3")),
+            "level direction",
+            (("x1",), ("x1", "x2", "x3"), ("x1", "x3", "x4"), FULL, F(0)),
+        ),
+    ],
+    ids=["triangle", "scale-square", "level-square"],
+)
+def test_interleave_names_the_first_failing_check(fixture_a, monkeypatch, chosen, message, witness):
+    zero_inclusions(monkeypatch, chosen)
+    both = fixture_a["both"]
+    phi, psi = both.by_name("phi"), both.by_name("psi")
+    with pytest.raises(VerificationError, match=message) as info:
+        interleave_upper(both, phi, psi, 0, 2)
+    assert info.value.witness == witness
+    with pytest.raises(VerificationError) as oracle:
+        oracle_interleave_upper(both, phi, psi, 0, 2)
+    assert oracle.value.witness == witness
+
+
+FAILING_LEVEL_SQUARE = """
+import enriched_ph.persistence as persistence
+from enriched_ph import DataSet, Domain, VerificationError, interleave_upper
+from enriched_ph.linalg import ModMatrix
+
+real = persistence.induced_map
+
+
+def induced(src, dst, vmap):
+    m = real(src, dst, vmap)
+    if (src.complex.points, dst.complex.points) == (("x1",), ("x1", "x2", "x3")):
+        return ModMatrix.zeros(m.nrows, m.ncols, m.p)
+    return m
+
+
+persistence.induced_map = induced
+ds = DataSet(Domain(["x1", "x2", "x3", "x4"]), [("phi", ["-1", "0", "0", "1"]), ("psi", ["0", "1", "-1", "0"])])
+try:
+    interleave_upper(ds, ds.by_name("phi"), ds.by_name("psi"), 0, 2)
+except VerificationError as exc:
+    print(__debug__, len(exc.witness), exc.witness[-1])
+"""
+
+
+def test_failing_level_square_raises_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAILING_LEVEL_SQUARE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "5", "0"]
 
 
 # ---------------------------------------------------------------------------
