@@ -428,9 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: built on the first call rather than at import, and then
+# reused, since parsing leaves a parser unchanged
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -19,15 +19,22 @@ from .errors import DomainMismatch, ValueMapMiss
 
 
 def parse_rational(value) -> Fraction:
-    """Accept "p/q" or decimal strings, ints, and exact-decimal floats."""
+    """Accept "p/q" or decimal strings, ints, and exact-decimal floats.
+
+    Anything else, booleans and a zero denominator included, raises
+    ValueError.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"cannot read rational from {value!r}")
 
 
@@ -73,9 +80,13 @@ class Domain:
 
 
 class Measurement:
-    """One rational value per domain point; identity is the value vector."""
+    """One rational value per domain point; identity is the value vector.
 
-    __slots__ = ("domain", "values", "aliases")
+    The hash is computed on first use and kept: a measurement never changes,
+    and two threads filling it write the same value.
+    """
+
+    __slots__ = ("domain", "values", "aliases", "_hash")
 
     def __init__(self, domain: Domain, values, aliases=()):
         self.domain = domain
@@ -84,6 +95,7 @@ class Measurement:
             raise ValueError("value vector length does not match domain size")
         self.values = vals
         self.aliases = tuple(aliases)
+        self._hash = None
 
     @property
     def name(self) -> str:
@@ -109,7 +121,14 @@ class Measurement:
         )
 
     def __hash__(self):
-        return hash((self.domain, self.values))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.domain, self.values))
+        return h
+
+    def __reduce__(self):
+        # rebuilt, not copied slot by slot: string hashes differ between processes
+        return Measurement, (self.domain, self.values, self.aliases)
 
     def __repr__(self):
         return f"Measurement({self.name}: {tuple(map(format_rational, self.values))})"
@@ -352,15 +371,28 @@ class DataSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DataSet":
-        domain = Domain(data["domain"])
-        ms = [(name, vals) for name, vals in data.get("measurements", {}).items()]
+        """Read to_json_dict's shape; the domain and each value vector must be
+        lists, so a string is not split into characters."""
+        domain = Domain(_json_list(data["domain"], "domain"))
+        ms = [
+            (name, _json_list(vals, f"measurement {name!r}"))
+            for name, vals in data.get("measurements", {}).items()
+        ]
         return cls(domain, ms, allow_empty=bool(data.get("allow_empty", False)))
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a JSON list, not {type(value).__name__}")
+    return value
 
 
 def sup_distance(phi: Measurement, psi: Measurement) -> Fraction:
     """Largest coordinatewise difference between two measurements."""
     if phi.domain != psi.domain:
         raise DomainMismatch("measurements live on different domains")
+    if not phi.values:
+        raise ValueError("empty domain: measurements without values have no sup distance")
     return max(abs(a - b) for a, b in zip(phi.values, psi.values))
 
 

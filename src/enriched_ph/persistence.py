@@ -137,6 +137,8 @@ def level_grid(measurements) -> tuple:
     """The s-grid of some measurements: the sorted values they take, after
     one sentinel below them."""
     vals = sorted({v for m in measurements for v in m.values})
+    if not vals:
+        raise ValueError("empty domain or no measurements: no values for a level grid")
     return (vals[0] - 1,) + tuple(vals)
 
 
@@ -543,7 +545,7 @@ def interleave_upper(
     rv = scale_grid(ev.dataset)
     sv = tuple(sorted(set(level_grid([phi])) | set(level_grid([psi]))))
     triangles = squares = 0
-    seen = set()
+    seen, scale_checked = set(), set()
     rows = {}
 
     def sublevels(m):
@@ -583,6 +585,10 @@ def interleave_upper(
                             (A0, B1, A2, rv[i]), "interleaving triangle does not commute"
                         )
                     triangles += 1
+            if (A0, B1) in scale_checked:
+                squares += len(rv) - 1  # these squares depend only on A0 and B1
+                continue
+            scale_checked.add((A0, B1))
             a0, b1 = row(A0), row(B1)
             for i in range(len(rv) - 1):
                 f0, f1 = incl(a0[i], b1[i]), incl(a0[i + 1], b1[i + 1])

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from enriched_ph import cli
 from enriched_ph.cli import main
 
 FIXTURE_B = {
@@ -143,6 +144,14 @@ def test_ph_bad_modulus_or_degree_exit_2(files, capsys, flags):
 
 
 WRONG_SHAPES = [[], 5, {"domain": 5, "measurements": {}}]
+# values that are not rationals, and strings where lists belong
+BAD_VALUES = [
+    {"domain": ["p"], "measurements": {"f": ["1/0"]}},
+    {"domain": ["p"], "measurements": {"f": [True]}},
+    {"domain": ["p"], "measurements": {"f": [False]}},
+    {"domain": "ab", "measurements": {"f": ["1", "2"]}},
+    {"domain": ["a", "b"], "measurements": {"f": "12"}},
+]
 ONE_POINT = {"domain": ["p"], "measurements": {"f": ["7"]}}
 EXTENSION = {"basis": ["phi1"], "alpha_bar": {"phi1": "phi1"}, "T": {"id": "id"}}
 
@@ -164,7 +173,8 @@ EXTENSION = {"basis": ["phi1"], "alpha_bar": {"phi1": "phi1"}, "T": {"id": "id"}
         (["seo", "realize", "--source", "LEFT", "--target", "LEFT", "--alpha", "BAD"], {"one": ["one"]}),
         (["seo", "realize", "--source", "LEFT", "--target", "LEFT", "--alpha", "BAD"], []),
         (["seo", "units", "--valuemap", "BAD", "--incarnation", "INC"], {"table": 5}),
-    ],
+    ]
+    + [(argv, bad) for argv in (["metric", "BAD"], ["ops", "end", "BAD"]) for bad in BAD_VALUES],
 )
 def test_wrong_shape_json_exit_2(files, capsys, argv, bad):
     _, write = files
@@ -248,19 +258,79 @@ def test_interleave_carmichael_or_huge_modulus_exit_2(files, capsys, modulus):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _python_m(argv, cwd=None):
+    """Run the CLI in a fresh interpreter through python -m enriched_ph."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "enriched_ph", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=60,
+    )
+
+
 @pytest.mark.parametrize("flags, code", [([], 0), (["-p", "4"], 2)])
 def test_python_m_runs_the_cli(files, flags, code):
     _, write = files
     path = write("psi.json", FIXTURE_A_BOTH)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "enriched_ph", "interleave", path, "--phi", "phi", "--psi", "psi", *flags],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _python_m(["interleave", path, "--phi", "phi", "--psi", "psi", *flags])
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert json.loads(proc.stdout)["upper"] == "1"
+
+
+def test_repeated_main_calls_match_fresh_processes(files, capsys, monkeypatch):
+    tmp, write = files
+    data, inc = write("psi.json", FIXTURE_A_BOTH), write("b.json", FIXTURE_B)
+    runs = [
+        ["ph", data],  # usage error: -m is required
+        ["ph", data, "-m", "zeta"],  # CliError: no such measurement
+        ["metric", data],
+        ["ops", "end", inc],
+        ["ph", data, "-m", "phi", "-d", "1", "--grid", "grid.json"],
+        ["interleave", data, "--phi", "phi", "--psi", "psi", "-d", "1"],
+    ]
+    builds = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+    here, fresh = tmp / "here", tmp / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = _python_m(argv, cwd=fresh)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert len(builds) == 1
+    assert (here / "grid.json").read_bytes() == (fresh / "grid.json").read_bytes()
+
+
+EMPTY_DOMAIN = {"domain": [], "measurements": {"f": []}}
+
+
+@pytest.mark.parametrize(
+    "argv", [["ph", "DATA", "-m", "f"], ["interleave", "DATA", "--phi", "f", "--psi", "f"]]
+)
+def test_empty_domain_exit_2(files, capsys, argv):
+    _, write = files
+    path = write("empty.json", EMPTY_DOMAIN)
+    assert main([path if a == "DATA" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty domain") and err.count("\n") == 1
+
+
+def test_empty_domain_metric_and_ops_unchanged(files, capsys):
+    _, write = files
+    path = write("empty.json", EMPTY_DOMAIN)
+    assert main(["metric", path]) == 0
+    assert capsys.readouterr().out == ",\n"
+    for which in ("end", "aut"):
+        assert main(["ops", which, path]) == 0
+        assert json.loads(capsys.readouterr().out) == {"e0": {}}
 
 
 def test_seo_check_identity(files, capsys):

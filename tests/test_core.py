@@ -1,5 +1,10 @@
+import copy
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -409,3 +414,54 @@ def test_rational_parsing():
     assert vals["u"] == Fraction(1, 2)
     assert vals["v"] == Fraction(-1, 4)
     assert vals["w"] == 3
+
+
+@pytest.mark.parametrize(
+    "data, what",
+    [
+        ({"domain": "ab", "measurements": {"f": ["1", "2"]}}, "domain"),
+        ({"domain": ["a", "b"], "measurements": {"f": "12"}}, "measurement 'f'"),
+    ],
+)
+def test_dataset_json_needs_lists_not_strings(data, what):
+    with pytest.raises(TypeError, match=f"{what} must be a JSON list, not str"):
+        DataSet.from_json_dict(data)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_measurement_hash_is_the_value_hash_and_stays_so(data):
+    n = data.draw(st.integers(min_value=0, max_value=4))
+    dom = Domain([f"x{i}" for i in range(n)])
+    values = data.draw(st.tuples(*[st.sampled_from(HALF_LATTICE)] * n))
+    m = Measurement(dom, values, ("u",))
+    expected = hash((m.domain, m.values))
+    assert hash(m) == expected
+    table = {m: "stored"}
+    assert hash(m) == expected and {m} == {m}
+    for other in (
+        Measurement(Domain(dom.points), [str(v) for v in values]),
+        m.with_aliases(("v", "w")),
+        m.with_aliases(()),
+        copy.copy(m),
+        copy.deepcopy(m),
+        pickle.loads(pickle.dumps(m)),
+    ):
+        assert hash(other) == expected
+        assert table[other] == "stored"
+
+
+def test_pickled_measurement_rehashes_in_another_process():
+    # string hashes are salted per process, so a hash carried in the pickle would be stale
+    m = Measurement(Domain(["a", "b"]), ["1/2", "3"], ("u",))
+    hash(m)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=src)
+    code = (
+        "import pickle, sys; m = pickle.loads(sys.stdin.buffer.read()); "
+        "print(hash(m) == hash((m.domain, m.values)), m.aliases)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps(m), capture_output=True, env=env, timeout=60
+    )
+    assert proc.stdout.decode().split() == ["True", "('u',)"], proc.stderr
