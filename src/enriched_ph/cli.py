@@ -2,9 +2,10 @@
 
 Commands: metric, analyze, ph, seo {check,extend,realize,decompose,units},
 interleave, ops {end,aut}.  All outputs are files or stdout JSON/CSV and are
-byte-identical for identical inputs.  Exit codes: 0 success, 2 input error,
-3 invalid incarnation, 4 operator hypothesis violated.  The environment
-variable ENRICHED_PH_GUARD overrides enumeration guards.
+byte-identical for identical inputs.  Exit codes: 0 success, 2 input error
+(a file that cannot be read or written included), 3 invalid incarnation,
+4 operator hypothesis violated.  The environment variable ENRICHED_PH_GUARD
+overrides enumeration guards.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from .actions import (
     enumerate_end,
     find_basis,
 )
-from .core import DataSet, ValueMap, format_rational
+from .core import DataSet, ValueMap, _json_list, format_rational
 from .errors import (
     DomainMismatch,
     EquivarianceError,
@@ -279,7 +280,7 @@ def cmd_seo_extend(args) -> int:
     target = _load_incarnation(args.target)
     data = _load_json(args.map)
     try:
-        basis = [source.dataset.by_name(n) for n in data["basis"]]
+        basis = [source.dataset.by_name(n) for n in _json_list(data["basis"], "basis")]
         alpha_bar = {
             source.dataset.by_name(k): target.dataset.by_name(v)
             for k, v in data["alpha_bar"].items()
@@ -452,7 +453,8 @@ def main(argv=None) -> int:
     except (EquivarianceError, HypothesisViolation, NotInvariant) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (DomainMismatch, ValueMapMiss, ValueError, KeyError) as exc:
+    except (DomainMismatch, ValueMapMiss, ValueError, KeyError, OSError) as exc:
+        # OSError: an input that cannot be read or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

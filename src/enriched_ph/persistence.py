@@ -255,10 +255,11 @@ class PHEvaluator:
 
     Induced matrices are keyed by (source space, target space, image tuple of
     the vertex map, or None for an inclusion).  The target space may belong
-    to another evaluator, as in ph_map between two data sets.
-    inclusion_matrix resolves both spaces through homology on every call;
-    interleave_upper instead looks up one row of spaces per sublevel set, once
-    per call, and reads this memo by space through _map.
+    to another evaluator, as in ph_map between two data sets.  The library
+    reads this memo only by space, through _map: ph_grid, interleave_upper
+    and superlevel_duality_check look each space up once through homology
+    and pair the spaces they hold.  inclusion_matrix is the public lookup by
+    value; it resolves both spaces through homology on every call.
     """
 
     def __init__(self, dataset: DataSet, p: int = 2):
@@ -268,15 +269,12 @@ class PHEvaluator:
         self._hom = {}
         self._maps = {}
 
-    def dist(self, a, b):
-        return self.metric.at(a, b)
-
     def homology(self, vertices, r, d) -> HomologySpace:
         key = (frozenset(vertices), r, d)
         space = self._hom.get(key)
         if space is None:
             ordered = tuple(p for p in self.dataset.domain.points if p in key[0])
-            cx = vr_complex(ordered, self.dist, r, d + 1)
+            cx = vr_complex(ordered, self.metric.at, r, d + 1)
             space = self._hom[key] = HomologySpace(cx, d, self.p)
         return space
 
@@ -385,6 +383,15 @@ class BigradedPersistence:
         }
 
 
+def _persistence(ev, dataset, m, degree, p, grid, vertex_sets) -> BigradedPersistence:
+    """Homology at every grid corner, on vertex_sets[j] at level j, with each
+    right and up map read from the evaluator's memo by its pair of spaces."""
+    spaces = [[ev.homology(vs, r, degree) for vs in vertex_sets] for r in grid.r_values]
+    right = [[ev._map(a, b) for a, b in zip(row, nxt)] for row, nxt in zip(spaces, spaces[1:])]
+    up = [[ev._map(a, b) for a, b in zip(row, row[1:])] for row in spaces]
+    return BigradedPersistence(dataset, m, degree, p, grid, spaces, right, up, ev)
+
+
 def ph_grid(
     dataset: DataSet,
     measurement: Measurement,
@@ -400,18 +407,7 @@ def ph_grid(
     ev = evaluator if evaluator is not None else PHEvaluator(dataset, p)
     rv = tuple(r_values) if r_values is not None else scale_grid(ev.dataset)
     sv = tuple(s_values) if s_values is not None else level_grid([m])
-    grid = CriticalGrid(rv, sv)
-    subs = [sublevel(m, s) for s in sv]
-    spaces = [[ev.homology(subs[j], r, degree) for j in range(len(sv))] for r in rv]
-    right = [
-        [ev.inclusion_matrix(subs[j], rv[i], subs[j], rv[i + 1], degree) for j in range(len(sv))]
-        for i in range(len(rv) - 1)
-    ]
-    up = [
-        [ev.inclusion_matrix(subs[j], rv[i], subs[j + 1], rv[i], degree) for j in range(len(sv) - 1)]
-        for i in range(len(rv))
-    ]
-    bp = BigradedPersistence(dataset, m, degree, p, grid, spaces, right, up, ev)
+    bp = _persistence(ev, dataset, m, degree, p, CriticalGrid(rv, sv), [sublevel(m, s) for s in sv])
     bp.verify_squares()
     return bp
 
@@ -756,23 +752,8 @@ def superlevel_duality_check(dataset: DataSet, phi: Measurement, degree: int, p:
     phi = dataset.find(phi)
     neg_ds, to_image = change_units(ValueMap.negate(), dataset)
     bp = ph_grid(neg_ds, to_image[phi], degree, p)
-    ev = PHEvaluator(dataset, p)
     if scale_grid(dataset) != bp.grid.r_values:
         return False
-    rv, sv = bp.grid.r_values, bp.grid.s_values
-    supers = [tuple(x for x in dataset.domain if phi.at(x) >= -s) for s in sv]
-    for i, r in enumerate(rv):
-        for j in range(len(sv)):
-            if ev.homology(supers[j], r, degree).dim != bp.spaces[i][j].dim:
-                return False
-    for i in range(len(rv) - 1):
-        for j in range(len(sv)):
-            direct = ev.inclusion_matrix(supers[j], rv[i], supers[j], rv[i + 1], degree)
-            if direct.rank() != bp.right[i][j].rank():
-                return False
-    for i in range(len(rv)):
-        for j in range(len(sv) - 1):
-            direct = ev.inclusion_matrix(supers[j], rv[i], supers[j + 1], rv[i], degree)
-            if direct.rank() != bp.up[i][j].rank():
-                return False
-    return True
+    supers = [tuple(x for x in dataset.domain if phi.at(x) >= -s) for s in bp.grid.s_values]
+    direct = _persistence(PHEvaluator(dataset, p), dataset, phi, degree, p, bp.grid, supers)
+    return direct.to_json_dict() == bp.to_json_dict()

@@ -174,7 +174,8 @@ EXTENSION = {"basis": ["phi1"], "alpha_bar": {"phi1": "phi1"}, "T": {"id": "id"}
         (["seo", "realize", "--source", "LEFT", "--target", "LEFT", "--alpha", "BAD"], []),
         (["seo", "units", "--valuemap", "BAD", "--incarnation", "INC"], {"table": 5}),
     ]
-    + [(argv, bad) for argv in (["metric", "BAD"], ["ops", "end", "BAD"]) for bad in BAD_VALUES],
+    + [(argv, bad) for argv in (["metric", "BAD"], ["ops", "end", "BAD"]) for bad in BAD_VALUES]
+    + [(["seo", "extend", "--source", "INC", "--target", "INC", "--map", "BAD"], dict(EXTENSION, basis="phi1"))],
 )
 def test_wrong_shape_json_exit_2(files, capsys, argv, bad):
     _, write = files
@@ -184,6 +185,38 @@ def test_wrong_shape_json_exit_2(files, capsys, argv, bad):
         "LEFT": write("left.json", FIXTURE_C_LEFT),
     }
     assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_seo_extend_string_basis_names_basis(files, capsys):
+    # a string is not read character by character as measurement names
+    _, write = files
+    inc, ext = write("b.json", FIXTURE_B), write("ext.json", dict(EXTENSION, basis="phi1"))
+    assert main(["seo", "extend", "--source", inc, "--target", inc, "--map", ext]) == 2
+    assert "basis must be a JSON list, not str" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric", "DIR"],
+        ["metric", "DS", "-o", "MISSING/out.csv"],
+        ["ph", "INC", "-m", "phi1", "--functor", "FILE"],
+    ],
+    ids=["input-is-directory", "output-in-missing-directory", "functor-dir-is-file"],
+)
+def test_unreadable_input_or_unwritable_output_exit_2(files, capsys, argv):
+    tmp, write = files
+    (tmp / "adir").mkdir()
+    paths = {
+        "DIR": str(tmp / "adir"),
+        "DS": write("ds.json", FIXTURE_A_BOTH),
+        "INC": write("b.json", FIXTURE_B),
+        "FILE": write("afile", {}),
+    }
+    argv = [paths.get(a, a).replace("MISSING", str(tmp / "missing")) for a in argv]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

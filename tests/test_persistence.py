@@ -281,28 +281,32 @@ def test_internal_maps_compose(fixture_a):
 
 
 FAILING_SQUARE = """
-from enriched_ph import DataSet, Domain, PHEvaluator, VerificationError, ph_grid
+import enriched_ph.persistence as persistence
+from enriched_ph import DataSet, Domain, VerificationError, ph_grid
 from enriched_ph.linalg import ModMatrix
 
-
-class TopRightMapsZero(PHEvaluator):
-    def inclusion_matrix(self, src_vertices, src_r, dst_vertices, dst_r, d):
-        m = super().inclusion_matrix(src_vertices, src_r, dst_vertices, dst_r, d)
-        if src_r != dst_r and len(dst_vertices) == 4:
-            return ModMatrix.zeros(m.nrows, m.ncols, m.p)
-        return m
+real = persistence.induced_map
 
 
+def induced(src, dst, vmap):
+    m = real(src, dst, vmap)
+    if len(src.complex.points) == len(dst.complex.points) == 4:
+        return ModMatrix.zeros(m.nrows, m.ncols, m.p)
+    return m
+
+
+persistence.induced_map = induced
 ds = DataSet(Domain(["x1", "x2", "x3", "x4"]), [("phi", ["-1", "0", "0", "1"])])
 try:
-    ph_grid(ds, ds.by_name("phi"), 0, 2, evaluator=TopRightMapsZero(ds, 2))
+    ph_grid(ds, ds.by_name("phi"), 0, 2)
 except VerificationError as exc:
     print(__debug__, exc.witness)
 """
 
 
 def test_failing_square_raises_under_python_O():
-    # zeroing the scale maps of the full sublevel set breaks the square below them
+    # zeroing the scale maps of the full sublevel set (the only maps between
+    # two spaces on all four points) breaks the square below them
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -462,6 +466,8 @@ def test_map_memo_equals_maps_between_fresh_spaces():
             for (i, r), (j, s) in cells:
                 src, dst = _fresh_space(inc.dataset, mg, r, s, d), _fresh_space(inc.dataset, m, r, s, d)
                 assert arrow.at(i, j) == induced_map(src, dst, {v: g(v) for v in src.complex.points})
+        for m, bp in functor.objects.items():
+            _assert_grid_maps_are_fresh_inclusions(inc.dataset, m, bp)
     for _ in range(6):
         ds, mid, _, f, _, alpha, _ = _composable_geometric_pair(rng)
         phi = next(iter(ds))
@@ -474,6 +480,39 @@ def test_map_memo_equals_maps_between_fresh_spaces():
         for (i, r), (j, s) in itertools.product(enumerate(rv), enumerate(sv)):
             src, dst = _fresh_space(mid, alpha[phi], r, s, d), _fresh_space(ds, phi, r, s, d)
             assert grid_map.at(i, j) == induced_map(src, dst, {v: f(v) for v in src.complex.points})
+        _assert_grid_maps_are_fresh_inclusions(ds, phi, bp_src)
+        _assert_grid_maps_are_fresh_inclusions(mid, alpha[phi], bp_mid)
+    ds = random_dataset(rng, max_points=5, max_meas=3)
+    m = next(iter(ds))
+    _assert_grid_maps_are_fresh_inclusions(ds, m, ph_grid(ds, m, 1, 2))
+
+
+def _assert_grid_maps_are_fresh_inclusions(ds, m, bp):
+    """Every right and up matrix of bp equals the by-value inclusion lookup
+    of a fresh evaluator on the same sublevel sets and scales."""
+    ev, d = PHEvaluator(ds, 2), bp.degree
+    rv, sv = bp.grid.r_values, bp.grid.s_values
+    for i, j in itertools.product(range(len(rv)), range(len(sv))):
+        sub = sublevel(m, sv[j])
+        if i + 1 < len(rv):
+            assert bp.right[i][j] == ev.inclusion_matrix(sub, rv[i], sub, rv[i + 1], d)
+        if j + 1 < len(sv):
+            assert bp.up[i][j] == ev.inclusion_matrix(sub, rv[i], sublevel(m, sv[j + 1]), rv[i], d)
+
+
+def test_ph_grid_looks_each_space_up_once_and_maps_by_space(fixture_a, monkeypatch):
+    both = fixture_a["both"]
+    calls = {"homology": 0, "inclusion_matrix": 0}
+    for name in calls:
+        real = getattr(PHEvaluator, name)
+
+        def counted(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(PHEvaluator, name, counted)
+    bp = ph_grid(both, both.by_name("phi"), 1, 2)
+    assert calls == {"homology": len(bp.grid.r_values) * len(bp.grid.s_values), "inclusion_matrix": 0}
 
 
 def test_homology_cache_keys_vertex_sets_not_orders_and_scales_as_given(fixture_a):
@@ -738,6 +777,17 @@ def test_superlevel_duality_symmetric_measurement():
     sub = ph_grid(ds, phi, 0, 2)
     sup = ph_grid(neg_ds, fwd[phi], 0, 2)
     assert sorted(map(sorted, sub.dims())) == sorted(map(sorted, sup.dims()))
+
+
+def test_superlevel_duality_rejects_a_shifted_negation(fixture_a, monkeypatch):
+    # with x -> 1 - x in place of negation the negated grid sits one level off
+    import enriched_ph.core as core
+
+    real = core.change_units
+    monkeypatch.setattr(core, "change_units", lambda f, ds: real(ValueMap.affine(-1, 1), ds))
+    both = fixture_a["both"]
+    for name, d in itertools.product(("phi", "psi"), (0, 1)):
+        assert superlevel_duality_check(both, both.by_name(name), d, 2) is False
 
 
 def test_superlevel_duality_random():
