@@ -9,6 +9,7 @@ overrides enumeration guards.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -166,6 +167,12 @@ def cmd_ph(args) -> int:
     obj = _load_dataset_or_incarnation(args.input)
     ds = obj.dataset if isinstance(obj, Incarnation) else obj
     m = _resolve_measurement(obj, args.measurement)
+    # check the later destinations before the first output, so that a bad one leaves no partial output
+    if (args.functor or args.dot) and not isinstance(obj, Incarnation):
+        flag = "--functor" if args.functor else "--dot"
+        raise CliError(EXIT_INPUT, f"{flag} needs an incarnation input")
+    if args.functor and os.path.exists(args.functor) and not os.path.isdir(args.functor):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.functor)
     wrote = False
     if args.grid:
         bp = ph_grid(ds, m, args.degree, args.prime)
@@ -183,8 +190,6 @@ def cmd_ph(args) -> int:
         _write_text("\n".join(lines) + "\n", args.barcodes)
         wrote = True
     if args.functor:
-        if not isinstance(obj, Incarnation):
-            raise CliError(EXIT_INPUT, "--functor needs an incarnation input")
         functor = ph_functor(obj, args.degree, args.prime)
         os.makedirs(args.functor, exist_ok=True)
         graph = functor.graph
@@ -207,8 +212,6 @@ def cmd_ph(args) -> int:
         _emit(index, os.path.join(args.functor, "index.json"))
         wrote = True
     if args.dot:
-        if not isinstance(obj, Incarnation):
-            raise CliError(EXIT_INPUT, "--dot needs an incarnation input")
         _write_text(build_graph(obj).to_dot(), args.dot)
         wrote = True
     if not wrote:

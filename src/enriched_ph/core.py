@@ -260,9 +260,17 @@ class DataSet:
     Measurements are stored in canonical order (lexicographic on value
     vectors); this order is what every enumeration in the package iterates in.
     Empty data sets are rejected unless allow_empty is set.
+
+    A data set never changes after it is built, so it keeps what is derived
+    from it: the pseudometric, and a memo of level-direction slices that
+    persistence fills on first use (the Vietoris-Rips complex on the whole
+    domain at each scale, and each measurement's slice barcodes), shared by
+    every bottleneck_lower call on this data set.
     """
 
-    __slots__ = ("domain", "measurements", "allow_empty", "_by_alias", "_by_values", "_metric")
+    __slots__ = (
+        "domain", "measurements", "allow_empty", "_by_alias", "_by_values", "_metric", "_slices",
+    )
 
     def __init__(self, domain: Domain, measurements, allow_empty: bool = False):
         self.domain = domain
@@ -304,6 +312,7 @@ class DataSet:
         self._by_alias = {a: m for m in final for a in m.aliases}
         self._by_values = {m.values: m for m in final}
         self._metric = None
+        self._slices = None
 
     def __len__(self):
         return len(self.measurements)

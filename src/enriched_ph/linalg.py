@@ -38,18 +38,21 @@ class ModMatrix:
     def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
         if self.ncols != other.nrows or self.p != other.p:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        p = self.p
+        p, ncols = self.p, other.ncols
         orows = other.rows
         out = []
         for r in self.rows:
-            acc = [0] * other.ncols
+            acc = [0] * ncols
             for k, v in enumerate(r):
                 if v:
                     ork = orows[k]
-                    for j in range(other.ncols):
+                    for j in range(ncols):
                         acc[j] = (acc[j] + v * ork[j]) % p
-            out.append(acc)
-        return ModMatrix(out, other.ncols, p)
+            out.append(tuple(acc))
+        # the rows are reduced mod p and all of length ncols: skip __init__'s pass over them
+        prod = ModMatrix.__new__(ModMatrix)
+        prod.p, prod.rows, prod.nrows, prod.ncols = p, tuple(out), len(out), ncols
+        return prod
 
     def __eq__(self, other):
         return (

@@ -621,14 +621,29 @@ def interleave_upper(
 # one-parameter slices and the bottleneck lower bound
 
 
+def _slices(dataset: DataSet) -> dict:
+    """The data set's slice memo, made on first use.  It holds the VR
+    complex on the whole domain under the key (r, dim cap), and a
+    measurement's barcode as a tuple under (measurement, degree, p, r)."""
+    memo = dataset._slices
+    if memo is None:
+        memo = dataset._slices = {}
+    return memo
+
+
 def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> list:
     """Intervals [birth, death) in the level direction at a fixed scale: the
     simplices of the complex at scale r enter at their highest value, and the
     pivots of the column reduction of the filtered boundary matrix pair each
-    creator with the simplex that kills it."""
+    creator with the simplex that kills it.  The complex depends only on r,
+    so it is read from the data set's slice memo and shared by every
+    measurement."""
     _check_degree_and_prime(degree, p)
     m = dataset.find(m)
-    cx = vr_complex(m.domain.points, dataset.pseudometric().at, r, degree + 1)
+    memo, key = _slices(dataset), (r, degree + 1)
+    cx = memo.get(key)
+    if cx is None:
+        cx = memo[key] = vr_complex(m.domain.points, dataset.pseudometric().at, r, degree + 1)
     simplices = sorted(
         (max(m.at(v) for v in s), k, s) for k, level in cx.simplices.items() for s in level
     )
@@ -670,13 +685,27 @@ def _perfect_matching(left, edges) -> bool:
 
 def bottleneck_distance(bars_a, bars_b):
     """Exact bottleneck distance between two interval lists; infinite-death
-    bars must match each other by birth."""
+    bars must match each other by birth.
+
+    The distance is the least candidate eps (zero, the cost of a pair of
+    bars, or half a finite bar's length) at which every bar is matched
+    within eps.  Two shortcuts return exactly what the full search would:
+    equal diagrams (compared as sorted lists) are at distance 0, and the
+    infinite bars are matched in sorted order of birth, so they fit iff eps
+    >= max |a_i - b_i| over the two sorted birth lists.  That matching is
+    optimal because on a line two crossed pairs can be uncrossed without
+    raising the larger of their two gaps.  Only the finite bars go through
+    Kuhn's matching.
+    """
+    if sorted(bars_a) == sorted(bars_b):
+        return Fraction(0)
     fin_a = [b for b in bars_a if b[1] != INF]
     fin_b = [b for b in bars_b if b[1] != INF]
     inf_a = sorted(b[0] for b in bars_a if b[1] == INF)
     inf_b = sorted(b[0] for b in bars_b if b[1] == INF)
     if len(inf_a) != len(inf_b):
         return INF
+    inf_gap = max((abs(x - y) for x, y in zip(inf_a, inf_b)), default=-INF)
 
     def cost(x, y):
         return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
@@ -692,12 +721,7 @@ def bottleneck_distance(bars_a, bars_b):
     na, nb = len(fin_a), len(fin_b)
 
     def feasible(eps):
-        # infinite bars: plain perfect matching on |birth difference|
-        edges = {
-            i: [j for j, y in enumerate(inf_b) if abs(inf_a[i] - y) <= eps]
-            for i in range(len(inf_a))
-        }
-        if not _perfect_matching(len(inf_a), edges):
+        if eps < inf_gap:
             return False
         # finite bars: left = fin_a + proxies of fin_b, right = fin_b + proxies of fin_a
         edges = {}
@@ -720,14 +744,25 @@ def bottleneck_distance(bars_a, bars_b):
 
 def bottleneck_lower(dataset: DataSet, phi: Measurement, psi: Measurement, degree: int, p: int):
     """Largest per-scale bottleneck distance between the level-direction
-    barcodes; a certified lower bound for the interleaving distance."""
+    barcodes; a certified lower bound for the interleaving distance.
+
+    Each barcode is read from the data set's slice memo and computed by
+    slice_barcode only the first time any pair asks for it, so the pairs of
+    one data set share every measurement's barcodes."""
     _check_degree_and_prime(degree, p)
+    memo = _slices(dataset)
+    phi, psi = dataset.find(phi), dataset.find(psi)
+
+    def barcode(m, r):
+        key = (m, degree, p, r)
+        bars = memo.get(key)
+        if bars is None:
+            bars = memo[key] = tuple(slice_barcode(dataset, m, degree, p, r))
+        return bars
+
     best = Fraction(0)
     for r in scale_grid(dataset):
-        d = bottleneck_distance(
-            slice_barcode(dataset, phi, degree, p, r),
-            slice_barcode(dataset, psi, degree, p, r),
-        )
+        d = bottleneck_distance(barcode(phi, r), barcode(psi, r))
         if d == INF:
             return INF
         best = max(best, d)

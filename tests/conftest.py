@@ -8,7 +8,15 @@ import pytest
 
 from enriched_ph import DataSet, Domain, Incarnation, PointMap, VerificationError
 from enriched_ph.core import format_rational, sup_distance
-from enriched_ph.persistence import InterleavingResult, PHEvaluator, level_grid, scale_grid, sublevel
+from enriched_ph.persistence import (
+    INF,
+    InterleavingResult,
+    PHEvaluator,
+    level_grid,
+    scale_grid,
+    slice_barcode,
+    sublevel,
+)
 
 HALF_LATTICE = [Fraction(k, 2) for k in range(-6, 7)]
 
@@ -301,3 +309,70 @@ def oracle_interleave_upper(dataset: DataSet, phi, psi, degree: int, p: int, eva
         upper=eps,
         certificate={"triangles": triangles, "squares": squares, "epsilon": format_rational(eps)},
     )
+
+
+# ---------------------------------------------------------------------------
+# bottleneck oracles: every candidate tried in order, Kuhn's matching for
+# infinite and finite bars alike, and nothing shared between calls
+
+
+def oracle_bottleneck_distance(bars_a, bars_b):
+    """The least candidate eps at which a perfect matching of all bars exists."""
+    fin_a = [b for b in bars_a if b[1] != INF]
+    fin_b = [b for b in bars_b if b[1] != INF]
+    inf_a = sorted(b[0] for b in bars_a if b[1] == INF)
+    inf_b = sorted(b[0] for b in bars_b if b[1] == INF)
+    if len(inf_a) != len(inf_b):
+        return INF
+
+    def cost(x, y):
+        return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
+
+    halves_a = [(d - b) / 2 for b, d in fin_a]
+    halves_b = [(d - b) / 2 for b, d in fin_b]
+    candidates = {Fraction(0)}
+    candidates.update(abs(x - y) for x, y in itertools.product(inf_a, inf_b))
+    candidates.update(cost(x, y) for x, y in itertools.product(fin_a, fin_b))
+    candidates.update(halves_a)
+    candidates.update(halves_b)
+    na, nb = len(fin_a), len(fin_b)
+
+    def feasible(eps):
+        edges = {
+            i: [j for j, y in enumerate(inf_b) if abs(inf_a[i] - y) <= eps]
+            for i in range(len(inf_a))
+        }
+        if not oracle_matching(len(inf_a), edges):
+            return False
+        edges = {}
+        for i, x in enumerate(fin_a):
+            opts = [j for j, y in enumerate(fin_b) if cost(x, y) <= eps]
+            if halves_a[i] <= eps:
+                opts.append(nb + i)
+            edges[i] = opts
+        for jj in range(nb):
+            opts = [jj] if halves_b[jj] <= eps else []
+            opts.extend(range(nb, nb + na))
+            edges[na + jj] = opts
+        return oracle_matching(na + nb, edges)
+
+    for eps in sorted(candidates):
+        if feasible(eps):
+            return eps
+    return INF
+
+
+def oracle_bottleneck_lower(dataset: DataSet, phi, psi, degree: int, p: int):
+    """The per-scale maximum of oracle_bottleneck_distance, with the
+    barcodes computed on a fresh copy of the data set, so that nothing is
+    shared with any other call."""
+    fresh = DataSet(dataset.domain, [(m.name, m.values) for m in dataset])
+    best = Fraction(0)
+    for r in scale_grid(fresh):
+        d = oracle_bottleneck_distance(
+            slice_barcode(fresh, phi, degree, p, r), slice_barcode(fresh, psi, degree, p, r)
+        )
+        if d == INF:
+            return INF
+        best = max(best, d)
+    return best

@@ -221,6 +221,23 @@ def test_unreadable_input_or_unwritable_output_exit_2(files, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "incarnation, flag, target",
+    [(False, "--functor", "fdir"), (False, "--dot", "g.dot"), (True, "--functor", "afile")],
+    ids=["functor-on-data-set", "dot-on-data-set", "functor-dir-is-file"],
+)
+def test_ph_bad_last_destination_writes_nothing(files, capsys, incarnation, flag, target):
+    tmp, write = files
+    path = write("b.json", FIXTURE_B) if incarnation else write("ds.json", FIXTURE_A_BOTH)
+    write("afile", {})
+    before = set(os.listdir(tmp))
+    argv = ["ph", path, "-m", "phi1" if incarnation else "phi", "-d", "0"]
+    argv += ["--grid", str(tmp / "g.json"), "--barcodes", str(tmp / "b.csv"), flag, str(tmp / target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert set(os.listdir(tmp)) == before
+
+
 def test_ph_single_point_bar(files, capsys, tmp_path):
     _, write = files
     path = write("one.json", {"domain": ["p"], "measurements": {"f": ["7"]}})

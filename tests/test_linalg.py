@@ -91,6 +91,21 @@ def test_coords_reproduce_accepted_columns(case, coeffs, data):
             assert rebuilt == combination([target], [1], p)
 
 
+@SETTINGS
+@given(matrices(), st.data())
+def test_product_equals_the_constructed_dense_product(case, data):
+    p, rows, ncols = case
+    a = ModMatrix(rows, ncols, p)
+    k = data.draw(st.integers(0, 5))
+    row = st.lists(st.one_of(st.just(0), st.integers(0, p - 1)), min_size=k, max_size=k)
+    b = ModMatrix(data.draw(st.lists(row, min_size=ncols, max_size=ncols)), k, p)
+    dense = [[sum(x * y[j] for x, y in zip(r, b.rows)) for j in range(k)] for r in a.rows]
+    want = ModMatrix(dense, k, p)
+    got = a @ b
+    assert got == want and hash(got) == hash(want)
+    assert (got.rows, got.nrows, got.ncols) == (want.rows, want.nrows, want.ncols)
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.integers(0, 10**9), st.sampled_from([3, 5]))
 def test_homology_dims_match_oracle_at_odd_primes(seed, p):

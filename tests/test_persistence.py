@@ -47,6 +47,8 @@ from enriched_ph.persistence import INF, check_prime
 from enriched_ph.linalg import ModMatrix
 from conftest import (
     HALF_LATTICE,
+    oracle_bottleneck_distance,
+    oracle_bottleneck_lower,
     oracle_homology_dim,
     oracle_interleave_upper,
     random_dataset,
@@ -906,6 +908,85 @@ def test_bottleneck_on_real_slices_matches_brute_force():
                 bars_b = slice_barcode(ds, psi, d, 2, r)
                 if len(bars_a) <= 5 and len(bars_b) <= 5:
                     assert bottleneck_distance(bars_a, bars_b) == brute_bottleneck(bars_a, bars_b)
+
+
+BIRTHS = st.sampled_from(HALF_LATTICE)
+FINITE_BARS = st.tuples(BIRTHS, st.sampled_from(HALF_LATTICE[6:])).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@st.composite
+def diagram_pairs(draw):
+    """Two shuffled interval lists with shared and repeated bars and some
+    infinite bars, whose numbers agree half of the time; one draw in four
+    is a diagram and a shuffled copy of it."""
+    shared = draw(st.lists(FINITE_BARS, max_size=3))
+    n_inf = draw(st.integers(0, 3))
+
+    def diagram(k):
+        bars = shared + draw(st.lists(FINITE_BARS, max_size=3))
+        bars += [(b, INF) for b in draw(st.lists(BIRTHS, min_size=k, max_size=k))]
+        bars += bars[: draw(st.integers(0, 2))]
+        return draw(st.permutations(bars))
+
+    a = diagram(n_inf)
+    if draw(st.integers(0, 3)) == 0:
+        return a, draw(st.permutations(a))
+    return a, diagram(n_inf if draw(st.booleans()) else draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(diagram_pairs())
+def test_bottleneck_distance_equals_the_full_search(pair):
+    a, b = pair
+    got, want = bottleneck_distance(a, b), oracle_bottleneck_distance(a, b)
+    assert got == want and type(got) is type(want)
+
+
+def test_bottleneck_lower_shared_across_pairs_equals_fresh_oracle():
+    rng = random.Random(71)
+    for _ in range(4):
+        ds = random_dataset(rng, max_points=5, min_meas=2, max_meas=4)
+        calls = [(a, b, d, p) for a in ds for b in ds for d in (0, 1) for p in (2, 3)]
+        rng.shuffle(calls)
+        for phi, psi, d, p in calls:
+            assert bottleneck_lower(ds, phi, psi, d, p) == oracle_bottleneck_lower(ds, phi, psi, d, p)
+
+
+def test_slice_memo_belongs_to_one_data_set():
+    # chi widens the pseudometric, so phi has other barcodes in the larger data set
+    dom = Domain(["x1", "x2", "x3", "x4"])
+    phi, psi, chi = ("phi", [2, 0, 0, 2]), ("psi", [-2, 1, -1, -2]), ("chi", [-1, -2, 0, 1])
+    small, large = DataSet(dom, [phi, psi]), DataSet(dom, [phi, psi, chi])
+    lowers = []
+    for ds in (small, large):
+        lowers.append(bottleneck_lower(ds, ds.by_name("phi"), ds.by_name("psi"), 0, 2))
+        assert lowers[-1] == oracle_bottleneck_lower(ds, ds.by_name("phi"), ds.by_name("psi"), 0, 2)
+    assert lowers == [2, 3]
+    assert any(
+        slice_barcode(small, small.by_name("phi"), 0, 2, r)
+        != slice_barcode(large, large.by_name("phi"), 0, 2, r)
+        for r in scale_grid(small)
+    )
+
+
+def test_bottleneck_lower_computes_only_the_new_measurements_barcodes(monkeypatch):
+    import enriched_ph.persistence as persistence
+
+    ds = random_dataset(random.Random(72), min_points=4, max_points=4, min_meas=3, max_meas=3)
+    phi, psi, chi = ds
+    n = len(scale_grid(ds))
+    real, seen = persistence.slice_barcode, []
+
+    def counted(dataset, m, *rest):
+        seen.append(m)
+        return real(dataset, m, *rest)
+
+    monkeypatch.setattr(persistence, "slice_barcode", counted)
+    bottleneck_lower(ds, phi, psi, 1, 3)
+    assert [seen.count(m) for m in ds] == [n, n, 0]
+    seen.clear()
+    bottleneck_lower(ds, phi, chi, 1, 3)
+    assert seen == [chi] * n
 
 
 def test_orientation_reversal_sign_odd_characteristic(fixture_a):
