@@ -262,10 +262,15 @@ class DataSet:
     Empty data sets are rejected unless allow_empty is set.
 
     A data set never changes after it is built, so it keeps what is derived
-    from it: the pseudometric, and a memo of level-direction slices that
-    persistence fills on first use (the Vietoris-Rips complex on the whole
-    domain at each scale, and each measurement's slice barcodes), shared by
-    every bottleneck_lower call on this data set.
+    from it: the pseudometric, and a memo (_slices) that persistence fills
+    on first use.  The memo holds the scale grid, the Vietoris-Rips complex
+    on the whole domain at each scale and dimension cap, and each
+    measurement's slice barcodes.  Every evaluator on this data set cuts its
+    complexes from those whole-domain complexes, and every bottleneck_lower
+    call on it shares the barcodes.
+
+    Measurements are looked up by the measurement itself, which keeps its
+    hash, so an equal value vector over another domain is not found.
     """
 
     __slots__ = (
@@ -310,7 +315,7 @@ class DataSet:
             final.append(Measurement(domain, vals, tuple(aliases)))
         self.measurements = tuple(final)
         self._by_alias = {a: m for m in final for a in m.aliases}
-        self._by_values = {m.values: m for m in final}
+        self._by_values = {m: m for m in final}
         self._metric = None
         self._slices = None
 
@@ -321,12 +326,12 @@ class DataSet:
         return iter(self.measurements)
 
     def __contains__(self, m):
-        return isinstance(m, Measurement) and m.domain == self.domain and m.values in self._by_values
+        return isinstance(m, Measurement) and m in self._by_values
 
     def find(self, m: Measurement) -> Measurement:
-        """Return the stored (alias-carrying) copy with m's values."""
+        """Return the stored (alias-carrying) copy with m's domain and values."""
         try:
-            return self._by_values[m.values]
+            return self._by_values[m]
         except KeyError:
             raise KeyError(f"measurement {m!r} not in data set") from None
 

@@ -32,8 +32,16 @@ class ModMatrix:
 
     @classmethod
     def from_columns(cls, cols, nrows: int, p: int) -> "ModMatrix":
-        rows = [[c[i] % p for c in cols] for i in range(nrows)]
-        return cls(rows, len(cols), p)
+        rows = tuple(tuple(c[i] % p for c in cols) for i in range(nrows))
+        return cls._reduced(rows, len(cols), p)
+
+    @classmethod
+    def _reduced(cls, rows: tuple, ncols: int, p: int) -> "ModMatrix":
+        """A matrix of row tuples that are reduced mod p and all of length
+        ncols, made without __init__'s pass over them."""
+        mat = cls.__new__(cls)
+        mat.p, mat.rows, mat.nrows, mat.ncols = p, rows, len(rows), ncols
+        return mat
 
     def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
         if self.ncols != other.nrows or self.p != other.p:
@@ -49,10 +57,7 @@ class ModMatrix:
                     for j in range(ncols):
                         acc[j] = (acc[j] + v * ork[j]) % p
             out.append(tuple(acc))
-        # the rows are reduced mod p and all of length ncols: skip __init__'s pass over them
-        prod = ModMatrix.__new__(ModMatrix)
-        prod.p, prod.rows, prod.nrows, prod.ncols = p, tuple(out), len(out), ncols
-        return prod
+        return ModMatrix._reduced(tuple(out), ncols, p)
 
     def __eq__(self, other):
         return (

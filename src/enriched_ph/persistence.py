@@ -72,13 +72,21 @@ def _check_degree_and_prime(degree: int, p: int) -> None:
 
 class SimplicialComplex:
     """Simplices grouped by dimension, each a tuple of vertex ids in a fixed
-    vertex order; closed under faces up to the dimension cap."""
+    vertex order; closed under faces up to the dimension cap.
 
-    __slots__ = ("points", "simplices", "dim_cap", "_index", "_vertex_pos")
+    A Vietoris-Rips complex also records its grade: the scale and the
+    distance function (metric) it was built with, beside the dimension cap.
+    It holds every simplex on its points up to the cap whose pairwise
+    distances stay within the scale; a complex without a grade has scale
+    and metric None.
+    """
+
+    __slots__ = ("points", "simplices", "dim_cap", "scale", "metric", "_index", "_vertex_pos")
 
     def __init__(self, points, simplices, dim_cap):
         self.points = tuple(points)
         self.dim_cap = dim_cap
+        self.scale = self.metric = None
         self._vertex_pos = {p: i for i, p in enumerate(self.points)}
         self.simplices = {k: tuple(v) for k, v in simplices.items()}
         self._index = {
@@ -103,6 +111,15 @@ class SimplicialComplex:
         return f"SimplicialComplex({sizes})"
 
 
+def _graded(cx: SimplicialComplex, r, dist) -> SimplicialComplex:
+    cx.scale, cx.metric = r, dist
+    return cx
+
+
+def _grade(cx: SimplicialComplex) -> str:
+    return f"(scale {cx.scale}, cap {cx.dim_cap}, points {cx.points!r})"
+
+
 def vr_complex(points, dist, r, dim_cap) -> SimplicialComplex:
     """All subsets of size <= dim_cap + 1 whose pairwise distances stay <= r."""
     if r < 0:
@@ -119,7 +136,38 @@ def vr_complex(points, dist, r, dim_cap) -> SimplicialComplex:
         if not level:
             break
         simplices[k] = tuple(level)
-    return SimplicialComplex(pts, simplices, dim_cap)
+    return _graded(SimplicialComplex(pts, simplices, dim_cap), r, dist)
+
+
+def _cut(whole: SimplicialComplex, vertices: frozenset) -> SimplicialComplex:
+    """The simplices of a VR complex that lie on some of its vertices, in its
+    order and with its grade: the VR complex on those vertices."""
+    simplices = {}
+    for k, level in whole.simplices.items():
+        kept = tuple(s for s in level if vertices.issuperset(s))
+        if kept:
+            simplices[k] = kept
+    points = tuple(p for p in whole.points if p in vertices)
+    return _graded(SimplicialComplex(points, simplices, whole.dim_cap), whole.scale, whole.metric)
+
+
+def _slices(dataset: DataSet) -> dict:
+    """The data set's slice memo, made on first use.  It holds the scale
+    grid under "scale_grid", the VR complex on the whole domain under
+    (r, dim cap), and a measurement's barcode as a tuple under
+    (measurement, degree, p, r)."""
+    memo = dataset._slices
+    if memo is None:
+        memo = dataset._slices = {}
+    return memo
+
+
+def _whole_complex(dataset: DataSet, r, dim_cap) -> SimplicialComplex:
+    memo, key = _slices(dataset), (r, dim_cap)
+    cx = memo.get(key)
+    if cx is None:
+        cx = memo[key] = vr_complex(dataset.domain.points, dataset.pseudometric().at, r, dim_cap)
+    return cx
 
 
 def sublevel(measurement: Measurement, s) -> tuple:
@@ -129,8 +177,13 @@ def sublevel(measurement: Measurement, s) -> tuple:
 
 def scale_grid(dataset: DataSet) -> tuple:
     """The r-grid of a data set: 0 and the distinct values of its
-    pseudometric, sorted."""
-    return tuple(sorted({Fraction(0), *dataset.pseudometric().distinct_values()}))
+    pseudometric, sorted.  It is computed once per data set and kept in the
+    data set's slice memo."""
+    memo = _slices(dataset)
+    grid = memo.get("scale_grid")
+    if grid is None:
+        grid = memo["scale_grid"] = tuple(sorted({Fraction(0), *dataset.pseudometric().distinct_values()}))
+    return grid
 
 
 def level_grid(measurements) -> tuple:
@@ -227,17 +280,44 @@ def verify_simplicial(src: SimplicialComplex, dst: SimplicialComplex, vmap) -> N
                 raise SimplicialMapError(f"image of {simplex!r} is not a simplex")
 
 
+def _check_nested(src: SimplicialComplex, dst: SimplicialComplex) -> None:
+    """The inclusion src -> dst is simplicial, and keeps every vertex tuple,
+    when the grades nest: one metric, one dimension cap, a scale no larger,
+    and src's points among dst's in dst's order."""
+    pos = dst._vertex_pos
+    order = [pos.get(v, -1) for v in src.points]
+    if src.metric is None or src.metric != dst.metric:
+        fault = "another metric"
+    elif src.dim_cap != dst.dim_cap:
+        fault = "another dimension cap"
+    elif src.scale is not dst.scale and src.scale > dst.scale:  # cut complexes share their scale
+        fault = "a larger scale"
+    elif -1 in order or order != sorted(order):
+        fault = "points outside the target or out of its order"
+    else:
+        return
+    raise SimplicialMapError(f"inclusion of {_grade(src)} into {_grade(dst)}: the source has {fault}")
+
+
 def induced_map(src_space: HomologySpace, dst_space: HomologySpace, vmap) -> ModMatrix:
     """Homology matrix of a simplicial vertex map, representative by
-    representative."""
+    representative.
+
+    vmap None means the inclusion of the source complex into the target
+    complex.  It is checked by grade (_check_nested) instead of simplex by
+    simplex, and it sends each simplex to the target simplex with the same
+    vertex tuple.  A vertex map goes through verify_simplicial and
+    chain_image."""
     src, dst = src_space.complex, dst_space.complex
-    verify_simplicial(src, dst, vmap)
     k, p = src_space.degree, src_space.p
-    cols = [
-        dst_space.coords_of(chain_image(src, dst, vmap, rep, k, p))
-        for rep in src_space.representatives
-    ]
-    return ModMatrix.from_columns(cols, dst_space.dim, p)
+    if vmap is None:
+        _check_nested(src, dst)
+        level, ids = src.dim_simplices(k), dst._index.get(k, {})
+        images = ({ids[level[j]]: c for j, c in rep.items()} for rep in src_space.representatives)
+    else:
+        verify_simplicial(src, dst, vmap)
+        images = (chain_image(src, dst, vmap, rep, k, p) for rep in src_space.representatives)
+    return ModMatrix.from_columns([dst_space.coords_of(z) for z in images], dst_space.dim, p)
 
 
 # ---------------------------------------------------------------------------
@@ -245,36 +325,49 @@ def induced_map(src_space: HomologySpace, dst_space: HomologySpace, vmap) -> Mod
 
 
 class PHEvaluator:
-    """Caching engine for one data set, with two caches.
+    """Caching engine for one data set, with three memos.
 
-    Homology spaces are keyed by (vertex set, scale, degree): the vertex set
-    in any order, the scale exactly as given.  So two level queries share a
-    space only when they give the same sublevel set, and two scales share
-    one only when they are equal (ev.homology(V, 1, 1) is not
-    ev.homology(V, 3/2, 1), though their complexes may agree).
+    Homology spaces (_hom) are keyed by (vertex set, scale, degree): the
+    vertex set in any order, the scale exactly as given.  So two level
+    queries share a space only when they give the same sublevel set, and two
+    scales share one only when they are equal (ev.homology(V, 1, 1) is not
+    ev.homology(V, 3/2, 1), though their complexes may agree).  A space's
+    complex is cut from the whole-domain VR complex at (scale, degree + 1)
+    in the data set's slice memo: the simplices that lie on the vertex set,
+    in the same order.  So a complex is built once per scale, not once per
+    vertex set, and every complex carries its grade.
 
-    Induced matrices are keyed by (source space, target space, image tuple of
-    the vertex map, or None for an inclusion).  The target space may belong
-    to another evaluator, as in ph_map between two data sets.  The library
-    reads this memo only by space, through _map: ph_grid, interleave_upper
-    and superlevel_duality_check look each space up once through homology
-    and pair the spaces they hold.  inclusion_matrix is the public lookup by
-    value; it resolves both spaces through homology on every call.
+    Induced matrices (_maps) are keyed by (source space, target space, image
+    tuple of the vertex map, or None for an inclusion).  The target space
+    may belong to another evaluator, as in ph_map between two data sets.
+    The library reads this memo only by space, through _map: ph_grid,
+    interleave_upper and superlevel_duality_check look each space up once
+    through homology and pair the spaces they hold.  inclusion_matrix is the
+    public lookup by value; it resolves both spaces through homology on
+    every call.
+
+    Composites (_paths) are keyed by three spaces (a, b, c): the inclusion
+    b -> c after a -> b.  interleave_upper reads every side of its triangles
+    and squares from it, so each path of maps is multiplied out once.
     """
 
     def __init__(self, dataset: DataSet, p: int = 2):
         self.dataset = dataset
         self.p = check_prime(p)
-        self.metric = dataset.pseudometric()
         self._hom = {}
         self._maps = {}
+        self._paths = {}
 
     def homology(self, vertices, r, d) -> HomologySpace:
         key = (frozenset(vertices), r, d)
         space = self._hom.get(key)
         if space is None:
-            ordered = tuple(p for p in self.dataset.domain.points if p in key[0])
-            cx = vr_complex(ordered, self.metric.at, r, d + 1)
+            if d < 0:
+                raise ValueError(f"homology degree {d} is negative")
+            unknown = key[0].difference(self.dataset.domain.points)
+            if unknown:
+                raise ValueError(f"points not in the domain: {sorted(unknown, key=str)!r}")
+            cx = _cut(_whole_complex(self.dataset, r, d + 1), key[0])
             space = self._hom[key] = HomologySpace(cx, d, self.p)
         return space
 
@@ -282,8 +375,16 @@ class PHEvaluator:
         key = (src, dst, None if g is None else g.image_tuple())
         mat = self._maps.get(key)
         if mat is None:
-            vmap = {v: v if g is None else g(v) for v in src.complex.points}
+            vmap = None if g is None else {v: g(v) for v in src.complex.points}
             mat = self._maps[key] = induced_map(src, dst, vmap)
+        return mat
+
+    def _path(self, a: HomologySpace, b: HomologySpace, c: HomologySpace) -> ModMatrix:
+        key = (a, b, c)
+        mat = self._paths.get(key)
+        if mat is None:
+            first = self._map(a, b)
+            mat = self._paths[key] = self._map(b, c) @ first
         return mat
 
     def inclusion_matrix(self, src_vertices, src_r, dst_vertices, dst_r, d) -> ModMatrix:
@@ -392,6 +493,16 @@ def _persistence(ev, dataset, m, degree, p, grid, vertex_sets) -> BigradedPersis
     return BigradedPersistence(dataset, m, degree, p, grid, spaces, right, up, ev)
 
 
+def _check_grid(r_values, s_values) -> None:
+    """Grid values must be strictly increasing, and scales nonnegative."""
+    for name, values in (("r_values", r_values), ("s_values", s_values)):
+        for a, b in zip(values, values[1:]):
+            if not a < b:
+                raise ValueError(f"{name} must be strictly increasing, but {a} is followed by {b}")
+    if r_values and r_values[0] < 0:
+        raise ValueError(f"r_values must be nonnegative, but start at {r_values[0]}")
+
+
 def ph_grid(
     dataset: DataSet,
     measurement: Measurement,
@@ -407,6 +518,7 @@ def ph_grid(
     ev = evaluator if evaluator is not None else PHEvaluator(dataset, p)
     rv = tuple(r_values) if r_values is not None else scale_grid(ev.dataset)
     sv = tuple(s_values) if s_values is not None else level_grid([m])
+    _check_grid(rv, sv)
     bp = _persistence(ev, dataset, m, degree, p, CriticalGrid(rv, sv), [sublevel(m, s) for s in sv])
     bp.verify_squares()
     return bp
@@ -540,16 +652,18 @@ def interleave_upper(
     eps = sup_distance(phi, psi)
     rv = scale_grid(ev.dataset)
     sv = tuple(sorted(set(level_grid([phi])) | set(level_grid([psi]))))
+    levels = (sv, [s + eps for s in sv], [s + 2 * eps for s in sv])
     triangles = squares = 0
     seen, scale_checked = set(), set()
     rows = {}
 
     def sublevels(m):
-        # sublevel(m, s) for any s: the points of the k lowest values, in domain order
+        # sublevel(m, s) at each level s + k * eps, as [k][index of s in sv]:
+        # the points of the lowest values, in domain order
         order = sorted(range(len(m.values)), key=m.values.__getitem__)
         vals, pts = [m.values[i] for i in order], m.domain.points
         subs = [tuple(pts[i] for i in sorted(order[:k])) for k in range(len(order) + 1)]
-        return lambda s: subs[bisect.bisect_right(vals, s)]
+        return [[subs[bisect.bisect_right(vals, s)] for s in shifted] for shifted in levels]
 
     def row(vertices):
         spaces = rows.get(vertices)
@@ -562,21 +676,19 @@ def interleave_upper(
             if not set(small) <= set(big):
                 raise VerificationError((small, big), f"sublevel {small!r} is not inside {big!r}")
 
-    incl = ev._map
+    incl, path = ev._map, ev._path
     at_phi, at_psi = sublevels(phi), sublevels(psi)
     sides = ((phi, at_phi, at_psi), (psi, at_psi, at_phi))
-    for s in sv:
+    for j in range(len(sv)):
         for a, sub_a, sub_b in sides:
-            A0, B1, A2 = sub_a(s), sub_b(s + eps), sub_a(s + 2 * eps)
+            A0, B1, A2 = sub_a[0][j], sub_b[1][j], sub_a[2][j]
             key = (A0, B1, A2, a is phi)
             if key not in seen:
                 seen.add(key)
                 nested((A0, B1), (B1, A2))
                 a0, b1, a2 = row(A0), row(B1), row(A2)
                 for i in range(len(rv)):
-                    f = incl(a0[i], b1[i])
-                    g = incl(b1[i], a2[i])
-                    if g @ f != incl(a0[i], a2[i]):
+                    if path(a0[i], b1[i], a2[i]) != incl(a0[i], a2[i]):
                         raise VerificationError(
                             (A0, B1, A2, rv[i]), "interleaving triangle does not commute"
                         )
@@ -587,16 +699,15 @@ def interleave_upper(
             scale_checked.add((A0, B1))
             a0, b1 = row(A0), row(B1)
             for i in range(len(rv) - 1):
-                f0, f1 = incl(a0[i], b1[i]), incl(a0[i + 1], b1[i + 1])
-                if incl(b1[i], b1[i + 1]) @ f0 != f1 @ incl(a0[i], a0[i + 1]):
+                if path(a0[i], b1[i], b1[i + 1]) != path(a0[i], a0[i + 1], b1[i + 1]):
                     raise VerificationError(
                         (A0, B1, rv[i], rv[i + 1]), "shift maps not natural in the scale direction"
                     )
                 squares += 1
-    for si in range(len(sv) - 1):
+    for j in range(len(sv) - 1):
         for a, sub_a, sub_b in sides:
-            A0, A1 = sub_a(sv[si]), sub_a(sv[si + 1])
-            B0, B1 = sub_b(sv[si] + eps), sub_b(sv[si + 1] + eps)
+            A0, A1 = sub_a[0][j], sub_a[0][j + 1]
+            B0, B1 = sub_b[1][j], sub_b[1][j + 1]
             key = (A0, A1, B0, B1, a is phi)
             if key in seen:
                 continue
@@ -604,9 +715,7 @@ def interleave_upper(
             nested((B0, B1), (A0, B0), (A1, B1), (A0, A1))
             a0, a1, b0, b1 = row(A0), row(A1), row(B0), row(B1)
             for i in range(len(rv)):
-                lhs = incl(b0[i], b1[i]) @ incl(a0[i], b0[i])
-                rhs = incl(a1[i], b1[i]) @ incl(a0[i], a1[i])
-                if lhs != rhs:
+                if path(a0[i], b0[i], b1[i]) != path(a0[i], a1[i], b1[i]):
                     raise VerificationError(
                         (A0, A1, B0, B1, rv[i]), "shift maps not natural in the level direction"
                     )
@@ -621,16 +730,6 @@ def interleave_upper(
 # one-parameter slices and the bottleneck lower bound
 
 
-def _slices(dataset: DataSet) -> dict:
-    """The data set's slice memo, made on first use.  It holds the VR
-    complex on the whole domain under the key (r, dim cap), and a
-    measurement's barcode as a tuple under (measurement, degree, p, r)."""
-    memo = dataset._slices
-    if memo is None:
-        memo = dataset._slices = {}
-    return memo
-
-
 def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> list:
     """Intervals [birth, death) in the level direction at a fixed scale: the
     simplices of the complex at scale r enter at their highest value, and the
@@ -640,10 +739,7 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
     measurement."""
     _check_degree_and_prime(degree, p)
     m = dataset.find(m)
-    memo, key = _slices(dataset), (r, degree + 1)
-    cx = memo.get(key)
-    if cx is None:
-        cx = memo[key] = vr_complex(m.domain.points, dataset.pseudometric().at, r, degree + 1)
+    cx = _whole_complex(dataset, r, degree + 1)
     simplices = sorted(
         (max(m.at(v) for v in s), k, s) for k, level in cx.simplices.items() for s in level
     )

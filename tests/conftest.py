@@ -8,14 +8,17 @@ import pytest
 
 from enriched_ph import DataSet, Domain, Incarnation, PointMap, VerificationError
 from enriched_ph.core import format_rational, sup_distance
+from enriched_ph.linalg import ModMatrix
 from enriched_ph.persistence import (
     INF,
     InterleavingResult,
     PHEvaluator,
+    chain_image,
     level_grid,
     scale_grid,
     slice_barcode,
     sublevel,
+    verify_simplicial,
 )
 
 HALF_LATTICE = [Fraction(k, 2) for k in range(-6, 7)]
@@ -252,6 +255,21 @@ def oracle_matching(left_count: int, adjacency) -> bool:
         return False
 
     return all(augment(u, set()) for u in range(left_count))
+
+
+# ---------------------------------------------------------------------------
+# inclusion oracle: the inclusion as a vertex map, walked simplex by simplex
+
+
+def oracle_inclusion_map(src_space, dst_space) -> ModMatrix:
+    """The matrix of the inclusion of src_space's complex into dst_space's,
+    through verify_simplicial and chain_image with the identity vertex map."""
+    src, dst = src_space.complex, dst_space.complex
+    ident = {v: v for v in src.points}
+    verify_simplicial(src, dst, ident)
+    k, p = src_space.degree, src_space.p
+    cols = [dst_space.coords_of(chain_image(src, dst, ident, rep, k, p)) for rep in src_space.representatives]
+    return ModMatrix.from_columns(cols, dst_space.dim, p)
 
 
 # ---------------------------------------------------------------------------

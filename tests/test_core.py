@@ -394,6 +394,15 @@ def test_find_returns_the_stored_copy_with_its_aliases():
         ds.find(Measurement(dom, [2, 1]))
 
 
+def test_find_needs_the_same_domain():
+    # an equal value vector over another domain is another measurement
+    ds = DataSet(Domain(["a", "b"]), [("u", [1, 2])])
+    assert ds.find(Measurement(Domain(["a", "b"]), [1, 2])) is ds.by_name("u")
+    for dom in (Domain(["b", "a"]), Domain(["c", "d"])):
+        with pytest.raises(KeyError, match="not in data set"):
+            ds.find(Measurement(dom, [1, 2]))
+
+
 def test_dataset_json_round_trip(fixture_a):
     ds = fixture_a["both"]
     again = DataSet.from_json_dict(json.loads(json.dumps(ds.to_json_dict())))

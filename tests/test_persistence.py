@@ -17,6 +17,7 @@ from enriched_ph import (
     InterleavingResult,
     PHEvaluator,
     PointMap,
+    SimplicialComplex,
     SimplicialMapError,
     ValueMap,
     VerificationError,
@@ -50,6 +51,7 @@ from conftest import (
     oracle_bottleneck_distance,
     oracle_bottleneck_lower,
     oracle_homology_dim,
+    oracle_inclusion_map,
     oracle_interleave_upper,
     random_dataset,
     random_incarnation,
@@ -525,6 +527,34 @@ def test_homology_cache_keys_vertex_sets_not_orders_and_scales_as_given(fixture_
     assert ev.homology(pts, F(1), 1) is not ev.homology(pts, F(3, 2), 1)
 
 
+def test_homology_rejects_unknown_points_and_negative_degrees(fixture_a):
+    ev = PHEvaluator(fixture_a["both"], 2)
+    with pytest.raises(ValueError, match=r"points not in the domain: \['zz'\]"):
+        ev.homology({"zz", "x1"}, F(1), 0)
+    with pytest.raises(ValueError, match="degree -1 is negative"):
+        ev.homology({"x1"}, F(1), -1)
+    assert ev._hom == {}
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"r_values": [1, 0]}, "r_values must be strictly increasing, but 1 is followed by 0"),
+        ({"r_values": [0, 1, 1]}, "r_values must be strictly increasing, but 1 is followed by 1"),
+        ({"r_values": [-1, 0]}, "r_values must be nonnegative, but start at -1"),
+        ({"s_values": [F(-2), F(1), F(0)]}, "s_values must be strictly increasing, but 1 is followed by 0"),
+    ],
+)
+def test_grids_must_increase_and_scales_be_nonnegative(fixture_a, fixture_b, kwargs, message):
+    both = fixture_a["both"]
+    ev = PHEvaluator(both, 2)
+    with pytest.raises(ValueError, match=message):
+        ph_grid(both, both.by_name("phi"), 0, 2, evaluator=ev, **kwargs)
+    assert ev._hom == {}  # rejected before any space was built
+    with pytest.raises(ValueError, match=message):
+        ph_functor(fixture_b["incarnation"], 0, 2, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # interleavings
 
@@ -698,6 +728,137 @@ def test_failing_level_square_raises_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "5", "0"]
+
+
+# ---------------------------------------------------------------------------
+# inclusions: complexes cut from one VR complex per scale, checked by grade
+
+
+def test_cut_complex_equals_the_vr_complex_on_the_subset():
+    rng = random.Random(91)
+    for _ in range(12):
+        ds = random_dataset(rng, max_points=6, max_meas=3)
+        ev, metric, pts = PHEvaluator(ds, 2), ds.pseudometric(), ds.domain.points
+        scales = list(scale_grid(ds))
+        scales.append(scales[-1] / 2 + F(1, 3))  # a scale off the grid
+        for _ in range(8):
+            subset = rng.sample(pts, rng.randint(0, len(pts)))
+            r, d = rng.choice(scales), rng.choice((0, 1, 2))
+            cut = ev.homology(subset, r, d).complex
+            fresh = vr_complex([x for x in pts if x in subset], metric.at, r, d + 1)
+            assert cut.points == fresh.points
+            assert list(cut.simplices.items()) == list(fresh.simplices.items())
+            assert cut._index == fresh._index
+            assert (cut.scale, cut.metric, cut.dim_cap) == (fresh.scale, fresh.metric, fresh.dim_cap)
+
+
+def test_evaluator_builds_one_complex_per_scale(monkeypatch):
+    import enriched_ph.persistence as persistence
+
+    ds = random_dataset(random.Random(92), min_points=5, max_points=5, min_meas=3, max_meas=3)
+    phi, psi, _ = ds
+    real, built = persistence.vr_complex, []
+
+    def counted(points, dist, r, dim_cap):
+        built.append((r, dim_cap))
+        return real(points, dist, r, dim_cap)
+
+    monkeypatch.setattr(persistence, "vr_complex", counted)
+    ev = PHEvaluator(ds, 2)
+    interleave_upper(ds, phi, psi, 1, 2, evaluator=ev)
+    ph_grid(ds, phi, 1, 2, evaluator=ev)
+    assert sorted(built) == [(r, 2) for r in scale_grid(ds)]
+    assert len(ev._hom) > len(built)
+    assert scale_grid(ds) is scale_grid(ds)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(interleave_cases())
+def test_inclusions_by_grade_equal_the_per_simplex_walk(case):
+    ds, phi, psi, d, p = case
+    ev = PHEvaluator(ds, p)
+    interleave_upper(ds, phi, psi, d, p, evaluator=ev)
+    for (src, dst, g), mat in ev._maps.items():
+        assert g is None and mat == oracle_inclusion_map(src, dst)
+    for (a, b, c), mat in ev._paths.items():
+        assert mat == oracle_inclusion_map(b, c) @ oracle_inclusion_map(a, b)
+    bp = ph_grid(ds, psi, d, p)
+    spaces, nr, ns = bp.spaces, len(bp.grid.r_values), len(bp.grid.s_values)
+    for i, j in itertools.product(range(nr), range(ns)):
+        if i + 1 < nr:
+            assert bp.right[i][j] == oracle_inclusion_map(spaces[i][j], spaces[i + 1][j])
+        if j + 1 < ns:
+            assert bp.up[i][j] == oracle_inclusion_map(spaces[i][j], spaces[i][j + 1])
+
+
+def test_interleave_multiplies_each_path_of_maps_once(fixture_a, monkeypatch):
+    both = fixture_a["both"]
+    real, products = ModMatrix.__matmul__, []
+
+    def counted(self, other):
+        products.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(ModMatrix, "__matmul__", counted)
+    ev = PHEvaluator(both, 2)
+    res = interleave_upper(both, both.by_name("phi"), both.by_name("psi"), 1, 2, evaluator=ev)
+    # one product per path, fewer than one per triangle and two per square
+    assert len(products) == len(ev._paths) < res.certificate["triangles"] + 2 * res.certificate["squares"]
+
+
+def _inclusion_fault(src, dst):
+    with pytest.raises(SimplicialMapError) as info:
+        induced_map(src, dst, None)
+    return str(info.value)
+
+
+def test_inclusion_refuses_grades_that_do_not_nest(fixture_a):
+    both = fixture_a["both"]
+    ev = PHEvaluator(both, 2)
+    pts = both.domain.points
+    full = ev.homology(pts, F(1), 1)
+    fault = _inclusion_fault(full, ev.homology(pts[:3], F(1), 1))
+    assert "points outside the target" in fault
+    assert "(scale 1, cap 2, points ('x1', 'x2', 'x3', 'x4'))" in fault
+    assert "(scale 1, cap 2, points ('x1', 'x2', 'x3'))" in fault
+    assert "a larger scale" in _inclusion_fault(ev.homology(pts, F(2), 1), full)
+    assert "another dimension cap" in _inclusion_fault(ev.homology(pts, F(1), 0), full)
+    # the same domain, vertex set and scale in another data set's evaluator
+    other = PHEvaluator(fixture_a["phi_only"], 2).homology(pts, F(1), 1)
+    assert "another metric" in _inclusion_fault(other, full)
+    # a complex listing its points in another order than the target
+    shuffled = homology(vr_complex(pts[::-1], both.pseudometric().at, F(1), 2), 1, 2)
+    assert "out of its order" in _inclusion_fault(shuffled, full)
+    # a complex without a grade nests in nothing
+    bare = homology(SimplicialComplex(pts, full.complex.simplices, 2), 1, 2)
+    assert "another metric" in _inclusion_fault(bare, full)
+    assert induced_map(full, ev.homology(pts, F(2), 1), None) == oracle_inclusion_map(
+        full, ev.homology(pts, F(2), 1)
+    )
+
+
+NOT_NESTED = """
+from fractions import Fraction
+from enriched_ph import DataSet, Domain, PHEvaluator, SimplicialMapError, induced_map
+
+ds = DataSet(Domain(["x1", "x2", "x3", "x4"]), [("phi", ["-1", "0", "0", "1"]), ("psi", ["0", "1", "-1", "0"])])
+ev = PHEvaluator(ds, 2)
+pts = ds.domain.points
+try:
+    induced_map(ev.homology(pts, Fraction(2), 1), ev.homology(pts, Fraction(1), 1), None)
+except SimplicialMapError as exc:
+    print(__debug__, "larger scale" in str(exc))
+"""
+
+
+def test_inclusion_grade_check_runs_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", NOT_NESTED], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 # ---------------------------------------------------------------------------
