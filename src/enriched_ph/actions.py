@@ -9,7 +9,7 @@ deformation closures, blocks, independent sets, bases, and dimension.
 import itertools
 from dataclasses import dataclass
 
-from .core import DataSet, Measurement, PointMap
+from .core import DataSet, Measurement, PointMap, _json_object
 from .errors import DomainMismatch, GuardExceeded, NotOperation, VerificationError
 
 DEFAULT_ENUM_GUARD = 6
@@ -146,7 +146,8 @@ class Incarnation:
     The kind tag is always computed from the operations, never trusted from
     input: "group" and "monoid" require closure under composition with
     identity, "group-like" means all operations are bijections, anything
-    else is "general".  An empty operation set is allowed.
+    else is "general".  An empty operation set is allowed; a name bound to
+    two different operations is not.
     """
 
     __slots__ = ("dataset", "ops", "kind", "_closure", "_reach")
@@ -169,6 +170,11 @@ class Incarnation:
                 seen[key] = seen[key].with_aliases(merged)
             else:
                 seen[key] = g
+        owner = {}
+        for key, g in seen.items():
+            for a in g.aliases:
+                if owner.setdefault(a, key) != key:
+                    raise ValueError(f"name {a!r} bound to two different operations")
         ordered = []
         auto = 0
         ident = PointMap.identity(dataset.domain)
@@ -176,7 +182,7 @@ class Incarnation:
         for key in sorted(seen):
             g = seen[key]
             if not g.aliases:
-                if g == ident:
+                if g == ident and "id" not in taken:
                     g = g.with_aliases(("id",))
                 else:
                     while f"g{auto}" in taken:
@@ -261,6 +267,7 @@ class Incarnation:
         ds = DataSet.from_json_dict(data["dataset"])
         ops = []
         for name, mapping in data.get("M", {}).items():
+            mapping = _json_object(mapping, f"operation {name!r}")
             ops.append((name, PointMap(ds.domain, ds.domain, mapping)))
         return cls(ds, ops)
 

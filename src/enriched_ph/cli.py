@@ -25,13 +25,11 @@ from .actions import (
 )
 from .core import DataSet, ValueMap, _json_list, format_rational
 from .errors import (
-    DomainMismatch,
     EquivarianceError,
     GuardExceeded,
     HypothesisViolation,
     NotInvariant,
     NotOperation,
-    ValueMapMiss,
 )
 from .ggraph import build_graph
 from .operators import (
@@ -83,14 +81,11 @@ def _load_json(path) -> dict:
 
 
 def _parse(cls, data, path):
-    """A DataSet or an Incarnation from parsed JSON, its errors mapped to exit codes."""
+    """A DataSet or an Incarnation from parsed JSON; a bad field's error names the file."""
     try:
         return cls.from_json_dict(data)
-    except NotOperation as exc:
-        raise CliError(
-            EXIT_INCARNATION,
-            f"{exc.op.name} is not an operation: moves {exc.measurement.name} out of the set",
-        )
+    except NotOperation:
+        raise  # a ValueError, but main maps it to EXIT_INCARNATION
     except _BAD_FIELD as exc:
         what = "incarnation" if cls is Incarnation else "data set"
         raise CliError(EXIT_INPUT, f"bad {what} {path}: {exc}")
@@ -146,27 +141,16 @@ def cmd_analyze(args) -> int:
 
 def cmd_ops(args) -> int:
     ds = _load_dataset(args.dataset)
-    try:
-        found = enumerate_end(ds, _guard()) if args.which == "end" else enumerate_aut(ds, _guard())
-    except GuardExceeded as exc:
-        raise CliError(EXIT_INPUT, str(exc))
+    found = enumerate_end(ds, _guard()) if args.which == "end" else enumerate_aut(ds, _guard())
     payload = {f"e{i}": dict(g.mapping) for i, g in enumerate(found.ops)}
     _emit(payload, args.output)
     return EXIT_OK
 
 
-def _resolve_measurement(container, name):
-    ds = container.dataset if isinstance(container, Incarnation) else container
-    try:
-        return ds.by_name(name)
-    except KeyError as exc:
-        raise CliError(EXIT_INPUT, str(exc))
-
-
 def cmd_ph(args) -> int:
     obj = _load_dataset_or_incarnation(args.input)
     ds = obj.dataset if isinstance(obj, Incarnation) else obj
-    m = _resolve_measurement(obj, args.measurement)
+    m = ds.by_name(args.measurement)
     # check the later destinations before the first output, so that a bad one leaves no partial output
     if (args.functor or args.dot) and not isinstance(obj, Incarnation):
         flag = "--functor" if args.functor else "--dot"
@@ -222,8 +206,7 @@ def cmd_ph(args) -> int:
 
 def cmd_interleave(args) -> int:
     ds = _load_dataset(args.dataset)
-    phi = _resolve_measurement(ds, args.phi)
-    psi = _resolve_measurement(ds, args.psi)
+    phi, psi = ds.by_name(args.phi), ds.by_name(args.psi)
     result = interleaving_bounds(ds, phi, psi, args.degree, args.prime)
     payload = {
         "upper": format_rational(result.upper),
@@ -264,8 +247,6 @@ def cmd_seo_check(args) -> int:
             args.output,
         )
         return EXIT_HYPOTHESIS
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc))
     _emit(
         {
             "valid": True,
@@ -297,8 +278,6 @@ def cmd_seo_extend(args) -> int:
     except HypothesisViolation as exc:
         _emit({"extended": False, "reason": str(exc)}, args.output)
         return EXIT_HYPOTHESIS
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc))
     _emit({"extended": True, "seo": seo.to_json_dict()}, args.output)
     return EXIT_OK
 
@@ -346,10 +325,7 @@ def cmd_seo_units(args) -> int:
         vm = ValueMap.from_json_dict(_load_json(args.valuemap))
     except _BAD_FIELD as exc:
         raise CliError(EXIT_INPUT, f"bad value map: {exc}")
-    try:
-        out, seo = change_units_seo(vm, inc)
-    except ValueMapMiss as exc:
-        raise CliError(EXIT_INPUT, str(exc))
+    out, seo = change_units_seo(vm, inc)
     _emit({"image": out.to_json_dict(), "seo": seo.to_json_dict()}, args.output)
     return EXIT_OK
 
@@ -449,16 +425,18 @@ def main(argv=None) -> int:
         return exc.code
     except NotOperation as exc:
         print(
-            f"error: {exc.op.name} is not an operation ({exc.measurement.name} leaves the set)",
+            f"error: {exc.op.name} is not an operation: moves {exc.measurement.name} out of the set",
             file=sys.stderr,
         )
         return EXIT_INCARNATION
     except (EquivarianceError, HypothesisViolation, NotInvariant) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (DomainMismatch, ValueMapMiss, ValueError, KeyError, OSError) as exc:
-        # OSError: an input that cannot be read or an output that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
+    except (KeyError, ValueError, GuardExceeded, OSError) as exc:
+        # OSError: an input that cannot be read or an output that cannot be written;
+        # a KeyError is printed by its message, as str() would give its repr
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT
 
 

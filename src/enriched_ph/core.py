@@ -262,12 +262,12 @@ class DataSet:
     Empty data sets are rejected unless allow_empty is set.
 
     A data set never changes after it is built, so it keeps what is derived
-    from it: the pseudometric, and a memo (_slices) that persistence fills
-    on first use.  The memo holds the scale grid, the Vietoris-Rips complex
-    on the whole domain at each scale and dimension cap, and each
-    measurement's slice barcodes.  Every evaluator on this data set cuts its
-    complexes from those whole-domain complexes, and every bottleneck_lower
-    call on it shares the barcodes.
+    from it: the pseudometric, and a memo (_slices) that persistence fills.
+    The memo holds the scale grid under "scale_grid", the Vietoris-Rips
+    complex on the whole domain under (r, dim cap), and a measurement's slice
+    barcode as a tuple under (measurement, degree, p, r).  Every evaluator on
+    this data set cuts its complexes from those whole-domain complexes, and
+    every bottleneck_lower call on it shares the barcodes.
 
     Measurements are looked up by the measurement itself, which keeps its
     hash, so an equal value vector over another domain is not found.
@@ -317,7 +317,7 @@ class DataSet:
         self._by_alias = {a: m for m in final for a in m.aliases}
         self._by_values = {m: m for m in final}
         self._metric = None
-        self._slices = None
+        self._slices = {}
 
     def __len__(self):
         return len(self.measurements)
@@ -386,18 +386,33 @@ class DataSet:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DataSet":
         """Read to_json_dict's shape; the domain and each value vector must be
-        lists, so a string is not split into characters."""
-        domain = Domain(_json_list(data["domain"], "domain"))
+        lists, so a string is not split into characters, each domain entry a
+        string or a number, and allow_empty a boolean."""
+        points = _json_list(data["domain"], "domain")
+        for p in points:
+            if isinstance(p, (list, dict, bool)) or p is None:
+                raise TypeError(
+                    f"domain entries must be strings or numbers, not {type(p).__name__}"
+                )
         ms = [
             (name, _json_list(vals, f"measurement {name!r}"))
             for name, vals in data.get("measurements", {}).items()
         ]
-        return cls(domain, ms, allow_empty=bool(data.get("allow_empty", False)))
+        allow_empty = data.get("allow_empty", False)
+        if not isinstance(allow_empty, bool):
+            raise TypeError(f"allow_empty must be a JSON boolean, not {type(allow_empty).__name__}")
+        return cls(Domain(points), ms, allow_empty=allow_empty)
 
 
 def _json_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise TypeError(f"{what} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object, not {type(value).__name__}")
     return value
 
 
@@ -425,14 +440,6 @@ def _tagged_union(x: Domain, y: Domain) -> Domain:
     return Domain([LEFT_TAG + p for p in x] + [RIGHT_TAG + p for p in y])
 
 
-def _extend_left(phi: Measurement, union: Domain, right_size: int) -> tuple:
-    return phi.values + (Fraction(0),) * right_size
-
-
-def _extend_right(psi: Measurement, union: Domain, left_size: int) -> tuple:
-    return (Fraction(0),) * left_size + psi.values
-
-
 @dataclass(frozen=True)
 class CoproductResult:
     dataset: DataSet
@@ -455,34 +462,29 @@ def coproduct(a: DataSet, b: DataSet) -> CoproductResult:
     measurement) are merged, since data sets are genuine sets.
     """
     union = _tagged_union(a.domain, b.domain)
-    entries = []
-    for phi in a:
-        entries.append(Measurement(union, _extend_left(phi, union, len(b.domain)), (LEFT_TAG + phi.name,)))
-    for psi in b:
-        entries.append(Measurement(union, _extend_right(psi, union, len(a.domain)), (RIGHT_TAG + psi.name,)))
-    ds = DataSet(union, entries, allow_empty=a.allow_empty or b.allow_empty)
-    left = {phi: ds.find(Measurement(union, _extend_left(phi, union, len(b.domain)))) for phi in a}
-    right = {psi: ds.find(Measurement(union, _extend_right(psi, union, len(a.domain)))) for psi in b}
+    zeros_a, zeros_b = (Fraction(0),) * len(a.domain), (Fraction(0),) * len(b.domain)
+    left = {phi: Measurement(union, phi.values + zeros_b, (LEFT_TAG + phi.name,)) for phi in a}
+    right = {psi: Measurement(union, zeros_a + psi.values, (RIGHT_TAG + psi.name,)) for psi in b}
+    allow = a.allow_empty or b.allow_empty
+    ds = DataSet(union, [*left.values(), *right.values()], allow_empty=allow)
+    left = {phi: ds.find(m) for phi, m in left.items()}
+    right = {psi: ds.find(m) for psi, m in right.items()}
     return CoproductResult(ds, left, right)
 
 
 def product(a: DataSet, b: DataSet) -> ProductResult:
     """Disjoint-union domain; measurements are all two-sided combinations."""
     union = _tagged_union(a.domain, b.domain)
-    entries = []
-    for phi, psi in itertools.product(a, b):
-        entries.append(
-            Measurement(union, phi.values + psi.values, (f"{phi.name}+{psi.name}",))
-        )
-    allow = (a.allow_empty or b.allow_empty) and not entries
-    ds = DataSet(union, entries, allow_empty=allow)
-    proj_left, proj_right, pairs = {}, {}, {}
-    for phi, psi in itertools.product(a, b):
-        m = ds.find(Measurement(union, phi.values + psi.values))
-        # restriction to a factor recovers the component, so projections are total
-        proj_left[m] = phi
-        proj_right[m] = psi
-        pairs[(phi, psi)] = m
+    images = {
+        (phi, psi): Measurement(union, phi.values + psi.values, (f"{phi.name}+{psi.name}",))
+        for phi, psi in itertools.product(a, b)
+    }
+    allow = (a.allow_empty or b.allow_empty) and not images
+    ds = DataSet(union, images.values(), allow_empty=allow)
+    pairs = {key: ds.find(m) for key, m in images.items()}
+    # restriction to a factor recovers the component, so projections are total
+    proj_left = {m: phi for (phi, _), m in pairs.items()}
+    proj_right = {m: psi for (_, psi), m in pairs.items()}
     return ProductResult(ds, proj_left, proj_right, pairs)
 
 
@@ -607,7 +609,7 @@ class ValueMap:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ValueMap":
         if "table" in data:
-            return cls.from_table(data["table"])
+            return cls.from_table(_json_object(data["table"], "table"))
         builtin = data["builtin"]
         if builtin == "affine":
             return cls.affine(data["a"], data["b"])
@@ -619,21 +621,15 @@ class ValueMap:
 
 def change_units(f: ValueMap, dataset: DataSet) -> tuple:
     """Apply f to every value; returns (f Phi, map phi -> f phi)."""
-    entries = [
-        Measurement(dataset.domain, tuple(f(v) for v in m.values), m.aliases) for m in dataset
-    ]
-    ds = DataSet(dataset.domain, entries, allow_empty=dataset.allow_empty)
-    to_image = {
-        m: ds.find(Measurement(dataset.domain, tuple(f(v) for v in m.values))) for m in dataset
-    }
-    return ds, to_image
+    images = {m: Measurement(dataset.domain, tuple(map(f, m.values)), m.aliases) for m in dataset}
+    ds = DataSet(dataset.domain, images.values(), allow_empty=dataset.allow_empty)
+    return ds, {m: ds.find(image) for m, image in images.items()}
 
 
 def domain_change(dataset: DataSet, f: PointMap) -> tuple:
     """Precompose every measurement with f: Y -> X; returns (Phi f, map phi -> phi f)."""
     if f.target != dataset.domain:
         raise DomainMismatch("point map target differs from data set domain")
-    entries = [m.compose(f) for m in dataset]
-    ds = DataSet(f.source, entries, allow_empty=dataset.allow_empty)
-    to_image = {m: ds.find(m.compose(f)) for m in dataset}
-    return ds, to_image
+    images = {m: m.compose(f) for m in dataset}
+    ds = DataSet(f.source, images.values(), allow_empty=dataset.allow_empty)
+    return ds, {m: ds.find(image) for m, image in images.items()}

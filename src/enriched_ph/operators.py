@@ -83,12 +83,7 @@ class SEO:
         """Both endpoints monoid incarnations and operation_map a monoid hom."""
         if self.source.kind not in ("monoid", "group") or self.target.kind not in ("monoid", "group"):
             return False
-        t = self.operation_map
-        ident_s = PointMap.identity(self.source.dataset.domain)
-        ident_t = PointMap.identity(self.target.dataset.domain)
-        if t[ident_s] != ident_t:
-            return False
-        return all(t[g * h] == t[g] * t[h] for g in self.source.ops for h in self.source.ops)
+        return _homomorphism_violation(self.source, self.target, self.operation_map) is None
 
     @property
     def is_group_operator(self) -> bool:
@@ -144,6 +139,16 @@ class SEO:
             "alpha": {m.name: self.measurement_map[m].name for m in self.source.dataset},
             "T": {g.name: self.operation_map[g].name for g in self.source.ops},
         }
+
+
+def _homomorphism_violation(source: Incarnation, target: Incarnation, tmap: dict):
+    """(identity,) when tmap does not keep the identity, else the first pair
+    (g, h) with T(g h) != T(g) T(h), else None.  Both endpoints are monoids."""
+    ident = PointMap.identity(source.dataset.domain)
+    if tmap[ident] != PointMap.identity(target.dataset.domain):
+        return (ident,)
+    pairs = itertools.product(source.ops, repeat=2)
+    return next(((g, h) for g, h in pairs if tmap[g * h] != tmap[g] * tmap[h]), None)
 
 
 def validate_seo(source: Incarnation, target: Incarnation, measurement_map, operation_map) -> SEO:
@@ -433,13 +438,10 @@ def extend_from_basis(
             raise HypothesisViolation(
                 (source.kind, target.kind), f"{variant} extension needs {wanted} incarnations"
             )
-        ident_s = PointMap.identity(source.dataset.domain)
-        ident_t = PointMap.identity(target.dataset.domain)
-        if tmap[ident_s] != ident_t:
-            raise HypothesisViolation((ident_s,), "operation map does not preserve the identity")
-        for g, h in itertools.product(source.ops, repeat=2):
-            if tmap[g * h] != tmap[g] * tmap[h]:
-                raise HypothesisViolation((g, h), "operation map is not a homomorphism")
+        bad = _homomorphism_violation(source, target, tmap)
+        if bad is not None:
+            what = "does not preserve the identity" if len(bad) == 1 else "is not a homomorphism"
+            raise HypothesisViolation(bad, f"operation map {what}")
 
     if variant == "MEO":
         # well-definedness scan over single-step coincidences
@@ -510,15 +512,14 @@ def decompose(inc: Incarnation) -> tuple:
     X = inc.dataset.domain
     big = Domain([f"{bi}:{p}" for bi in range(len(parts)) for p in X])
     block_index = {m: bi for bi, blk in enumerate(parts) for m in blk}
+    zeros = (Fraction(0),) * len(X)
 
     def embed(m: Measurement) -> Measurement:
         bi = block_index[m]
-        vals = []
-        for b in range(len(parts)):
-            vals.extend(m.values if b == bi else (Fraction(0),) * len(X))
-        return Measurement(big, tuple(vals), m.aliases)
+        return Measurement(big, zeros * bi + m.values + zeros * (len(parts) - 1 - bi), m.aliases)
 
-    new_ds = DataSet(big, [embed(m) for m in inc.dataset])
+    images = {m: embed(m) for m in inc.dataset}
+    new_ds = DataSet(big, images.values())
     if len(new_ds) != len(inc.dataset):
         raise VerificationError(inc.dataset, "block embedding merged two measurements")
 
@@ -529,7 +530,7 @@ def decompose(inc: Incarnation) -> tuple:
 
     diag_ops = {g: diag(g) for g in inc.ops}
     out = Incarnation(new_ds, diag_ops.values())
-    alpha = {m: new_ds.find(embed(m)) for m in inc.dataset}
+    alpha = {m: new_ds.find(image) for m, image in images.items()}
     seo = validate_seo(inc, out, alpha, diag_ops)
     if not seo.is_isomorphism:
         raise VerificationError(seo, "block decomposition is not an isomorphism")

@@ -151,19 +151,8 @@ def _cut(whole: SimplicialComplex, vertices: frozenset) -> SimplicialComplex:
     return _graded(SimplicialComplex(points, simplices, whole.dim_cap), whole.scale, whole.metric)
 
 
-def _slices(dataset: DataSet) -> dict:
-    """The data set's slice memo, made on first use.  It holds the scale
-    grid under "scale_grid", the VR complex on the whole domain under
-    (r, dim cap), and a measurement's barcode as a tuple under
-    (measurement, degree, p, r)."""
-    memo = dataset._slices
-    if memo is None:
-        memo = dataset._slices = {}
-    return memo
-
-
 def _whole_complex(dataset: DataSet, r, dim_cap) -> SimplicialComplex:
-    memo, key = _slices(dataset), (r, dim_cap)
+    memo, key = dataset._slices, (r, dim_cap)
     cx = memo.get(key)
     if cx is None:
         cx = memo[key] = vr_complex(dataset.domain.points, dataset.pseudometric().at, r, dim_cap)
@@ -179,7 +168,7 @@ def scale_grid(dataset: DataSet) -> tuple:
     """The r-grid of a data set: 0 and the distinct values of its
     pseudometric, sorted.  It is computed once per data set and kept in the
     data set's slice memo."""
-    memo = _slices(dataset)
+    memo = dataset._slices
     grid = memo.get("scale_grid")
     if grid is None:
         grid = memo["scale_grid"] = tuple(sorted({Fraction(0), *dataset.pseudometric().distinct_values()}))
@@ -846,7 +835,7 @@ def bottleneck_lower(dataset: DataSet, phi: Measurement, psi: Measurement, degre
     slice_barcode only the first time any pair asks for it, so the pairs of
     one data set share every measurement's barcodes."""
     _check_degree_and_prime(degree, p)
-    memo = _slices(dataset)
+    memo = dataset._slices
     phi, psi = dataset.find(phi), dataset.find(psi)
 
     def barcode(m, r):

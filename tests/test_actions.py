@@ -217,6 +217,27 @@ def test_non_operation_rejected(fixture_a):
         Incarnation(ds, [g])
 
 
+def test_one_name_for_two_operations_rejected(fixture_b):
+    ops = fixture_b["ops"]
+    with pytest.raises(ValueError, match="name 's' bound to two different operations"):
+        Incarnation(fixture_b["dataset"], [("s", ops["g1"]), ("s", ops["id"])])
+    # one operation under two entries keeps both names
+    inc = Incarnation(fixture_b["dataset"], [("s", ops["g1"]), ("t", ops["g1"])])
+    assert inc.op_by_name("s") is inc.op_by_name("t")
+    # an unnamed identity does not take a name another operation holds
+    dom = fixture_b["domain"]
+    unnamed = PointMap(dom, dom, {p: p for p in dom})
+    inc = Incarnation(fixture_b["dataset"], [("id", ops["g1"]), unnamed])
+    assert inc.op_by_name("g0") == unnamed and inc.op_by_name("id") == ops["g1"]
+
+
+def test_incarnation_json_operation_must_be_an_object(fixture_b):
+    data = fixture_b["incarnation"].to_json_dict()
+    data["M"]["g1"] = [["x1", "x2"], ["x2", "x2"], ["x3", "x3"]]
+    with pytest.raises(TypeError, match="operation 'g1' must be a JSON object, not list"):
+        Incarnation.from_json_dict(data)
+
+
 def test_empty_operation_set_allowed(fixture_a):
     inc = Incarnation(fixture_a["both"], [])
     assert deformation_closure([m for m in inc.dataset][:1], inc) == tuple(inc.dataset)[:1]

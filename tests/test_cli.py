@@ -498,3 +498,59 @@ def test_ops_guard_env_override(files, monkeypatch):
     assert main(["ops", "end", path]) == 0
     monkeypatch.setenv("ENRICHED_PH_GUARD", "zap")
     assert main(["ops", "end", path]) == 2
+
+
+def test_unknown_measurement_prints_the_plain_message(files, capsys):
+    _, write = files
+    path = write("psi.json", FIXTURE_A_BOTH)
+    assert main(["ph", path, "-m", "zz"]) == 2
+    assert capsys.readouterr().err == "error: no measurement named 'zz'\n"
+
+
+def test_ops_guard_exceeded_exits_2_with_one_line(files, capsys, monkeypatch):
+    _, write = files
+    path = write("c.json", FIXTURE_C_LEFT)
+    monkeypatch.setenv("ENRICHED_PH_GUARD", "1")
+    assert main(["ops", "end", path]) == 2
+    assert capsys.readouterr().err == "error: |X|=2 exceeds enumeration guard 1\n"
+
+
+def test_bad_operation_has_one_wording(files, capsys):
+    _, write = files
+    payload = {
+        "dataset": FIXTURE_A_BOTH,
+        "M": {"swap": {"x1": "x4", "x2": "x2", "x3": "x3", "x4": "x1"}},
+    }
+    path = write("bad.json", payload)
+    for argv in (["analyze", path], ["ph", path, "-m", "phi"]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: swap is not an operation: moves phi out of the set\n"
+
+
+@pytest.mark.parametrize(
+    "argv, bad, what",
+    [
+        (["metric", "BAD"], {"domain": ["p"], "measurements": {}, "allow_empty": "no"}, "allow_empty"),
+        (["metric", "BAD"], {"domain": ["p"], "measurements": {"f": ["1"]}, "allow_empty": 1}, "allow_empty"),
+        (["metric", "BAD"], {"domain": [["a"], "b"], "measurements": {"f": ["1", "2"]}}, "domain"),
+        (["metric", "BAD"], {"domain": [{"a": 1}, "b"], "measurements": {"f": ["1", "2"]}}, "domain"),
+        (["metric", "BAD"], {"domain": [True, "b"], "measurements": {"f": ["1", "2"]}}, "domain"),
+        (["metric", "BAD"], {"domain": [None, "b"], "measurements": {"f": ["1", "2"]}}, "domain"),
+        (["analyze", "BAD"], {"dataset": FIXTURE_C_LEFT, "M": {"s": [["x1", "x2"], ["x2", "x1"]]}}, "'s'"),
+        (["seo", "units", "--valuemap", "BAD", "--incarnation", "INC"], {"table": [[v, v] for v in "123"]}, "table"),
+    ],
+)
+def test_wrong_json_type_exit_2_naming_the_field(files, capsys, argv, bad, what):
+    _, write = files
+    paths = {"BAD": write("bad.json", bad), "INC": write("b.json", FIXTURE_B)}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert what in err
+
+
+def test_numeric_domain_entries_are_still_points(files, capsys):
+    _, write = files
+    path = write("num.json", {"domain": [1, 2.5], "measurements": {"f": ["0", "1"]}})
+    assert main(["metric", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == ",1,2.5"

@@ -474,3 +474,26 @@ def test_pickled_measurement_rehashes_in_another_process():
         [sys.executable, "-c", code], input=pickle.dumps(m), capture_output=True, env=env, timeout=60
     )
     assert proc.stdout.decode().split() == ["True", "('u',)"], proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["no", 1, None, []])
+def test_dataset_json_allow_empty_must_be_a_boolean(flag):
+    with pytest.raises(TypeError, match="allow_empty must be a JSON boolean"):
+        DataSet.from_json_dict({"domain": ["p"], "measurements": {}, "allow_empty": flag})
+    empty = DataSet.from_json_dict({"domain": ["p"], "measurements": {}, "allow_empty": True})
+    assert empty.to_json_dict() == {"domain": ["p"], "measurements": {}, "allow_empty": True}
+
+
+@pytest.mark.parametrize("entry", [["a"], {"a": 1}, True, None])
+def test_dataset_json_domain_entries_must_be_scalars(entry):
+    with pytest.raises(TypeError, match="domain entries must be strings or numbers"):
+        DataSet.from_json_dict({"domain": [entry, "b"], "measurements": {"f": ["1", "2"]}})
+    # Python callers keep str() on points
+    assert Domain([("a",), 2]).points == ("('a',)", "2")
+
+
+def test_value_map_json_table_must_be_an_object():
+    with pytest.raises(TypeError, match="table must be a JSON object, not list"):
+        ValueMap.from_json_dict({"table": [["1", "-1"]]})
+    # Python callers may still pass pairs
+    assert ValueMap.from_table([("1", "-1")])(1) == -1

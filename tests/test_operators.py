@@ -12,6 +12,7 @@ from enriched_ph import (
     Incarnation,
     NotInvariant,
     PointMap,
+    Relation,
     ValueMap,
     blocks,
     canonical_seo,
@@ -495,3 +496,108 @@ def test_extension_violation_carries_valid_relation(fixture_b):
         assert isinstance(bad, Relation)
         assert bad.holds_in(inc)  # the coincidence is real
         assert not bad.image(alpha_bar, {g: g for g in inc.ops}).holds_in(inc)
+
+
+# ---------------------------------------------------------------------------
+# monoid and group hypotheses: each failure names its witness
+
+
+def _swap_group(points, measurements):
+    """A group incarnation: the identity and the swap of two points."""
+    dom = Domain(points)
+    a, b = points
+    swap = PointMap(dom, dom, {a: b, b: a}, ("swap",))
+    return Incarnation(DataSet(dom, measurements), [PointMap.identity(dom), swap])
+
+
+def _not_homomorphism(inc):
+    # swapping g1 and g2 breaks g3 . g2 = g2: T(g3) . T(g2) = g3 . g1 = g2, not g1
+    g1, g2, g3, ident = (inc.op_by_name(n) for n in ("g1", "g2", "g3", "id"))
+    return {ident: ident, g1: g2, g2: g1, g3: g3}
+
+
+def test_meo_geo_extension_needs_the_right_kinds(fixture_b):
+    inc = fixture_b["incarnation"]
+    basis = find_basis(inc)
+    ident = {g: g for g in inc.ops}
+    with pytest.raises(HypothesisViolation) as err:
+        extend_from_basis(inc, inc, basis, {w: w for w in basis}, ident, "GEO")
+    assert err.value.witness == ("monoid", "monoid")
+    assert str(err.value) == "GEO extension needs ('group',) incarnations"
+    general = Incarnation(fixture_b["dataset"], [fixture_b["ops"]["g1"]])
+    assert general.kind == "general"
+    g1 = general.ops[0]
+    basis = find_basis(general)
+    with pytest.raises(HypothesisViolation) as err:
+        extend_from_basis(general, inc, basis, {w: w for w in basis}, {g1: g1}, "MEO")
+    assert err.value.witness == ("general", "monoid")
+    assert str(err.value) == "MEO extension needs ('monoid', 'group') incarnations"
+
+
+def test_meo_extension_needs_the_identity_preserved(fixture_b):
+    inc = fixture_b["incarnation"]
+    basis = find_basis(inc)
+    g2 = inc.op_by_name("g2")
+    with pytest.raises(HypothesisViolation) as err:
+        extend_from_basis(inc, inc, basis, {w: w for w in basis}, {g: g2 for g in inc.ops}, "MEO")
+    assert err.value.witness == (inc.op_by_name("id"),)
+    assert str(err.value) == "operation map does not preserve the identity"
+
+
+def test_meo_extension_needs_a_homomorphism(fixture_b):
+    inc = fixture_b["incarnation"]
+    basis = find_basis(inc)
+    with pytest.raises(HypothesisViolation) as err:
+        extend_from_basis(inc, inc, basis, {w: w for w in basis}, _not_homomorphism(inc), "MEO")
+    assert err.value.witness == (inc.op_by_name("g3"), inc.op_by_name("g2"))
+    assert str(err.value) == "operation map is not a homomorphism"
+
+
+def test_geo_extension_needs_isotropy_kept():
+    # swap fixes a, but T(swap) = swap moves c, the image of a, to d
+    src = _swap_group(["x1", "x2"], [("a", [0, 0])])
+    tgt = _swap_group(["z1", "z2"], [("c", [0, 1]), ("d", [1, 0])])
+    a, c = src.dataset.by_name("a"), tgt.dataset.by_name("c")
+    tmap = {src.op_by_name(n): tgt.op_by_name(n) for n in ("id", "swap")}
+    with pytest.raises(HypothesisViolation) as err:
+        extend_from_basis(src, tgt, [a], {a: c}, tmap, "GEO")
+    swap = src.op_by_name("swap")
+    assert err.value.witness == Relation(a, a, (swap,), ())
+    assert str(err.value) == "T(swap) does not fix the image of a"
+
+
+def test_is_monoid_operator_false_cases(fixture_b):
+    # every measurement goes to the constant phi2, which every operation
+    # fixes, so any operation map is equivariant
+    inc = fixture_b["incarnation"]
+    ds = fixture_b["dataset"]
+    const = {m: ds.by_name("phi2") for m in ds}
+    g2 = inc.op_by_name("g2")
+    assert validate_seo(inc, inc, const, {g: g for g in inc.ops}).is_monoid_operator
+    assert not validate_seo(inc, inc, const, {g: g2 for g in inc.ops}).is_monoid_operator
+    assert not validate_seo(inc, inc, const, _not_homomorphism(inc)).is_monoid_operator
+    general = Incarnation(ds, [fixture_b["ops"]["g1"]])
+    g1 = general.ops[0]
+    seo = validate_seo(general, inc, const, {g1: inc.op_by_name("g1")})
+    assert not seo.is_monoid_operator
+    assert not seo.is_group_operator
+
+
+def test_enumerate_geos_guards(fixture_b):
+    monoid = fixture_b["incarnation"]
+    group = _swap_group(["x1", "x2"], [("a", [0, 1]), ("b", [1, 0])])
+    a = group.dataset.by_name("a")
+    ident = {g: g for g in group.ops}
+    with pytest.raises(HypothesisViolation) as err:
+        enumerate_geos(monoid, fixture_b["dataset"].by_name("phi1"), group, {})
+    assert err.value.witness == ("monoid",)
+    assert str(err.value) == "source must be a group incarnation"
+    with pytest.raises(HypothesisViolation) as err:
+        enumerate_geos(group, a, monoid, ident)
+    assert err.value.witness == ("monoid",)
+    assert str(err.value) == "target must be a group incarnation"
+    split = _swap_group(["x1", "x2"], [("a", [0, 0]), ("b", [1, 1])])
+    with pytest.raises(HypothesisViolation) as err:
+        enumerate_geos(split, split.dataset.by_name("a"), group, {})
+    assert err.value.witness == (2,)
+    assert str(err.value) == "source must be transitive"
