@@ -9,7 +9,7 @@ deformation closures, blocks, independent sets, bases, and dimension.
 import itertools
 from dataclasses import dataclass
 
-from .core import DataSet, Measurement, PointMap, _json_object
+from .core import DataSet, Measurement, PointMap, _json_field, _json_object, _name
 from .errors import DomainMismatch, GuardExceeded, NotOperation, VerificationError
 
 DEFAULT_ENUM_GUARD = 6
@@ -150,47 +150,27 @@ class Incarnation:
     two different operations is not.
     """
 
-    __slots__ = ("dataset", "ops", "kind", "_closure", "_reach")
+    __slots__ = ("dataset", "ops", "kind", "_by_alias", "_closure", "_reach")
 
     def __init__(self, dataset: DataSet, ops=()):
         self.dataset = dataset
-        seen = {}
-        for entry in ops:
-            if isinstance(entry, PointMap):
-                g = entry
-            else:
-                name, g = entry
+        first, found = {}, []
+        for g in ops:
+            if not isinstance(g, PointMap):
+                name, g = g
                 g = g.with_aliases((name,) + tuple(a for a in g.aliases if a != name))
             bad = operation_violation(g, dataset)
             if bad is not None:
                 raise NotOperation(g, bad)
             key = g.image_tuple()
-            if key in seen:
-                merged = tuple(dict.fromkeys(seen[key].aliases + g.aliases))
-                seen[key] = seen[key].with_aliases(merged)
-            else:
-                seen[key] = g
-        owner = {}
-        for key, g in seen.items():
-            for a in g.aliases:
-                if owner.setdefault(a, key) != key:
-                    raise ValueError(f"name {a!r} bound to two different operations")
-        ordered = []
-        auto = 0
-        ident = PointMap.identity(dataset.domain)
-        taken = {a for o in seen.values() for a in o.aliases}
-        for key in sorted(seen):
-            g = seen[key]
-            if not g.aliases:
-                if g == ident and "id" not in taken:
-                    g = g.with_aliases(("id",))
-                else:
-                    while f"g{auto}" in taken:
-                        auto += 1
-                    g = g.with_aliases((f"g{auto}",))
-                    auto += 1
-            ordered.append(g)
-        self.ops = tuple(ordered)
+            first.setdefault(key, g)
+            found.append((key, g.aliases))
+        named = _name(found, "g", "operations", preferred=(dataset.domain.points, "id"))
+        self.ops = tuple(
+            first[key] if first[key].aliases == aliases else first[key].with_aliases(aliases)
+            for key, aliases in named
+        )
+        self._by_alias = {a: g for g in self.ops for a in g.aliases}
         self.kind = self._compute_kind()
         self._closure = None
         self._reach = None
@@ -208,10 +188,10 @@ class Incarnation:
         return "group-like" if all_bij else "general"
 
     def op_by_name(self, name: str) -> PointMap:
-        for g in self.ops:
-            if name in g.aliases or name == g.name:
-                return g
-        raise KeyError(f"no operation named {name!r}")
+        try:
+            return self._by_alias[name]
+        except KeyError:
+            raise KeyError(f"no operation named {name!r}") from None
 
     def monoid_closure(self) -> tuple:
         if self._closure is None:
@@ -264,9 +244,9 @@ class Incarnation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Incarnation":
-        ds = DataSet.from_json_dict(data["dataset"])
+        ds = DataSet.from_json_dict(_json_object(_json_field(data, "dataset"), "dataset"))
         ops = []
-        for name, mapping in data.get("M", {}).items():
+        for name, mapping in _json_object(data.get("M", {}), "M").items():
             mapping = _json_object(mapping, f"operation {name!r}")
             ops.append((name, PointMap(ds.domain, ds.domain, mapping)))
         return cls(ds, ops)

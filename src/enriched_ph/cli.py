@@ -23,7 +23,7 @@ from .actions import (
     enumerate_end,
     find_basis,
 )
-from .core import DataSet, ValueMap, _json_list, format_rational
+from .core import DataSet, ValueMap, _json_field, _json_list, _json_object, format_rational
 from .errors import (
     EquivarianceError,
     GuardExceeded,
@@ -67,6 +67,15 @@ def _guard(default: int = DEFAULT_ENUM_GUARD) -> int:
 _BAD_FIELD = (KeyError, ValueError, TypeError, AttributeError)
 
 
+def _message(exc) -> str:
+    """An error's one-line message: a KeyError by its message, since str() gives its repr."""
+    return exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
+
+
+def _object_field(data: dict, name: str) -> dict:
+    return _json_object(_json_field(data, name), name)
+
+
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
@@ -88,7 +97,7 @@ def _parse(cls, data, path):
         raise  # a ValueError, but main maps it to EXIT_INCARNATION
     except _BAD_FIELD as exc:
         what = "incarnation" if cls is Incarnation else "data set"
-        raise CliError(EXIT_INPUT, f"bad {what} {path}: {exc}")
+        raise CliError(EXIT_INPUT, f"bad {what} {path}: {_message(exc)}")
 
 
 def _load_dataset(path) -> DataSet:
@@ -222,11 +231,11 @@ def _load_seo_maps(path, source, target):
     try:
         alpha = {
             source.dataset.by_name(k): target.dataset.by_name(v)
-            for k, v in data["alpha"].items()
+            for k, v in _object_field(data, "alpha").items()
         }
-        tmap = {source.op_by_name(k): target.op_by_name(v) for k, v in data["T"].items()}
+        tmap = {source.op_by_name(k): target.op_by_name(v) for k, v in _object_field(data, "T").items()}
     except _BAD_FIELD as exc:
-        raise CliError(EXIT_INPUT, f"bad operator file {path}: {exc}")
+        raise CliError(EXIT_INPUT, f"bad operator file {path}: {_message(exc)}")
     return alpha, tmap
 
 
@@ -264,15 +273,15 @@ def cmd_seo_extend(args) -> int:
     target = _load_incarnation(args.target)
     data = _load_json(args.map)
     try:
-        basis = [source.dataset.by_name(n) for n in _json_list(data["basis"], "basis")]
+        basis = [source.dataset.by_name(n) for n in _json_list(_json_field(data, "basis"), "basis")]
         alpha_bar = {
             source.dataset.by_name(k): target.dataset.by_name(v)
-            for k, v in data["alpha_bar"].items()
+            for k, v in _object_field(data, "alpha_bar").items()
         }
-        tmap = {source.op_by_name(k): target.op_by_name(v) for k, v in data["T"].items()}
+        tmap = {source.op_by_name(k): target.op_by_name(v) for k, v in _object_field(data, "T").items()}
         variant = data.get("variant", "SEO")
     except _BAD_FIELD as exc:
-        raise CliError(EXIT_INPUT, f"bad extension file {args.map}: {exc}")
+        raise CliError(EXIT_INPUT, f"bad extension file {args.map}: {_message(exc)}")
     try:
         seo = extend_from_basis(source, target, basis, alpha_bar, tmap, variant)
     except HypothesisViolation as exc:
@@ -289,7 +298,7 @@ def cmd_seo_realize(args) -> int:
     try:
         alpha = {source.by_name(k): target.by_name(v) for k, v in data.items()}
     except _BAD_FIELD as exc:
-        raise CliError(EXIT_INPUT, f"bad measurement map: {exc}")
+        raise CliError(EXIT_INPUT, f"bad measurement map {args.alpha}: {_message(exc)}")
     for m in source:
         if m not in alpha:
             raise CliError(EXIT_INPUT, f"measurement map is not total: missing {m.name}")
@@ -324,7 +333,7 @@ def cmd_seo_units(args) -> int:
     try:
         vm = ValueMap.from_json_dict(_load_json(args.valuemap))
     except _BAD_FIELD as exc:
-        raise CliError(EXIT_INPUT, f"bad value map: {exc}")
+        raise CliError(EXIT_INPUT, f"bad value map {args.valuemap}: {_message(exc)}")
     out, seo = change_units_seo(vm, inc)
     _emit({"image": out.to_json_dict(), "seo": seo.to_json_dict()}, args.output)
     return EXIT_OK
@@ -433,10 +442,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except (KeyError, ValueError, GuardExceeded, OSError) as exc:
-        # OSError: an input that cannot be read or an output that cannot be written;
-        # a KeyError is printed by its message, as str() would give its repr
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+        # OSError: an input that cannot be read or an output that cannot be written
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -210,7 +210,8 @@ class PointMap:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PointMap":
-        return cls(Domain(data["source"]), Domain(data["target"]), data["map"])
+        source, target = (Domain(_json_field(data, end)) for end in ("source", "target"))
+        return cls(source, target, _json_field(data, "map"))
 
 
 class PseudometricMatrix:
@@ -280,39 +281,18 @@ class DataSet:
     def __init__(self, domain: Domain, measurements, allow_empty: bool = False):
         self.domain = domain
         self.allow_empty = bool(allow_empty)
-        by_values: dict[tuple, list] = {}
+        found = []
         for m in measurements:
-            if isinstance(m, Measurement):
-                meas = m
-            else:
+            if not isinstance(m, Measurement):
                 name, values = m
-                meas = Measurement(domain, values, (name,) if name else ())
-            if meas.domain != domain:
+                m = Measurement(domain, values, (name,) if name else ())
+            if m.domain != domain:
                 raise DomainMismatch("measurement domain differs from data set domain")
-            aliases = by_values.setdefault(meas.values, [])
-            for a in meas.aliases:
-                if a not in aliases:
-                    aliases.append(a)
-        if not by_values and not self.allow_empty:
+            found.append((m.values, m.aliases))
+        if not found and not self.allow_empty:
             raise ValueError("empty data set (pass allow_empty=True to permit)")
-
-        alias_owner: dict[str, tuple] = {}
-        for vals, aliases in by_values.items():
-            for a in aliases:
-                if alias_owner.get(a, vals) != vals:
-                    raise ValueError(f"name {a!r} bound to two different value vectors")
-                alias_owner[a] = vals
-
-        final = []
-        auto = 0
-        for vals in sorted(by_values):
-            aliases = by_values[vals]
-            if not aliases:
-                while f"m{auto}" in alias_owner:
-                    auto += 1
-                aliases = [f"m{auto}"]
-                alias_owner[f"m{auto}"] = vals
-            final.append(Measurement(domain, vals, tuple(aliases)))
+        named = _name(found, "m", "value vectors")
+        final = [Measurement(domain, vals, aliases) for vals, aliases in named]
         self.measurements = tuple(final)
         self._by_alias = {a: m for m in final for a in m.aliases}
         self._by_values = {m: m for m in final}
@@ -388,7 +368,7 @@ class DataSet:
         """Read to_json_dict's shape; the domain and each value vector must be
         lists, so a string is not split into characters, each domain entry a
         string or a number, and allow_empty a boolean."""
-        points = _json_list(data["domain"], "domain")
+        points = _json_list(_json_field(data, "domain"), "domain")
         for p in points:
             if isinstance(p, (list, dict, bool)) or p is None:
                 raise TypeError(
@@ -396,12 +376,48 @@ class DataSet:
                 )
         ms = [
             (name, _json_list(vals, f"measurement {name!r}"))
-            for name, vals in data.get("measurements", {}).items()
+            for name, vals in _json_object(data.get("measurements", {}), "measurements").items()
         ]
         allow_empty = data.get("allow_empty", False)
         if not isinstance(allow_empty, bool):
             raise TypeError(f"allow_empty must be a JSON boolean, not {type(allow_empty).__name__}")
         return cls(Domain(points), ms, allow_empty=allow_empty)
+
+
+def _name(found, prefix: str, what: str, preferred=None) -> list:
+    """(key, aliases) for each distinct key of the (key, aliases) pairs found,
+    in sorted key order.
+
+    Equal keys pool their aliases in order of appearance, and a name given to
+    two keys raises ValueError.  A key left without a name takes preferred's
+    name if preferred is (that key, a free name), and otherwise the name
+    <prefix><k> with the least k not yet taken.
+    """
+    pooled: dict = {}
+    for key, aliases in found:
+        pooled.setdefault(key, {}).update(dict.fromkeys(aliases))
+    owner: dict = {}
+    for key, aliases in pooled.items():
+        for a in aliases:
+            if owner.setdefault(a, key) != key:
+                raise ValueError(f"name {a!r} bound to two different {what}")
+    named, fresh = [], (f"{prefix}{k}" for k in itertools.count())
+    for key in sorted(pooled):
+        aliases = tuple(pooled[key])
+        if not aliases:
+            free = preferred is not None and preferred[0] == key and preferred[1] not in owner
+            aliases = (preferred[1] if free else next(a for a in fresh if a not in owner),)
+            owner[aliases[0]] = key
+        named.append((key, aliases))
+    return named
+
+
+def _json_field(data: dict, name: str):
+    """A required field of a JSON object; a missing one raises a KeyError naming it."""
+    try:
+        return data[name]
+    except KeyError:
+        raise KeyError(f"missing field {name!r}") from None
 
 
 def _json_list(value, what: str) -> list:
@@ -610,9 +626,9 @@ class ValueMap:
     def from_json_dict(cls, data: dict) -> "ValueMap":
         if "table" in data:
             return cls.from_table(_json_object(data["table"], "table"))
-        builtin = data["builtin"]
+        builtin = _json_field(data, "builtin")
         if builtin == "affine":
-            return cls.affine(data["a"], data["b"])
+            return cls.affine(_json_field(data, "a"), _json_field(data, "b"))
         return cls(builtin)
 
     def __repr__(self):

@@ -634,6 +634,11 @@ def interleave_upper(
     commutation of the shift maps with the internal maps in both directions.
     Failure of any check is an internal error: the inclusions always provide
     an epsilon-interleaving.
+
+    Each diagram is checked once.  "triangles" counts the distinct triangles
+    (A0, B1, A2) of each side at every scale.  "squares" counts the scale
+    squares of every level and side, shared shifts included, plus the
+    distinct level steps of each side at every scale.
     """
     _check_degree_and_prime(degree, p)
     phi, psi = dataset.find(phi), dataset.find(psi)
@@ -642,8 +647,6 @@ def interleave_upper(
     rv = scale_grid(ev.dataset)
     sv = tuple(sorted(set(level_grid([phi])) | set(level_grid([psi]))))
     levels = (sv, [s + eps for s in sv], [s + 2 * eps for s in sv])
-    triangles = squares = 0
-    seen, scale_checked = set(), set()
     rows = {}
 
     def sublevels(m):
@@ -668,47 +671,37 @@ def interleave_upper(
     incl, path = ev._map, ev._path
     at_phi, at_psi = sublevels(phi), sublevels(psi)
     sides = ((phi, at_phi, at_psi), (psi, at_psi, at_phi))
-    for j in range(len(sv)):
-        for a, sub_a, sub_b in sides:
-            A0, B1, A2 = sub_a[0][j], sub_b[1][j], sub_a[2][j]
-            key = (A0, B1, A2, a is phi)
-            if key not in seen:
-                seen.add(key)
-                nested((A0, B1), (B1, A2))
-                a0, b1, a2 = row(A0), row(B1), row(A2)
-                for i in range(len(rv)):
-                    if path(a0[i], b1[i], a2[i]) != incl(a0[i], a2[i]):
-                        raise VerificationError(
-                            (A0, B1, A2, rv[i]), "interleaving triangle does not commute"
-                        )
-                    triangles += 1
-            if (A0, B1) in scale_checked:
-                squares += len(rv) - 1  # these squares depend only on A0 and B1
-                continue
-            scale_checked.add((A0, B1))
-            a0, b1 = row(A0), row(B1)
-            for i in range(len(rv) - 1):
-                if path(a0[i], b1[i], b1[i + 1]) != path(a0[i], a0[i + 1], b1[i + 1]):
-                    raise VerificationError(
-                        (A0, B1, rv[i], rv[i + 1]), "shift maps not natural in the scale direction"
-                    )
-                squares += 1
-    for j in range(len(sv) - 1):
-        for a, sub_a, sub_b in sides:
-            A0, A1 = sub_a[0][j], sub_a[0][j + 1]
-            B0, B1 = sub_b[1][j], sub_b[1][j + 1]
-            key = (A0, A1, B0, B1, a is phi)
-            if key in seen:
-                continue
-            seen.add(key)
-            nested((B0, B1), (A0, B0), (A1, B1), (A0, A1))
-            a0, a1, b0, b1 = row(A0), row(A1), row(B0), row(B1)
-            for i in range(len(rv)):
-                if path(a0[i], b0[i], b1[i]) != path(a0[i], a1[i], b1[i]):
-                    raise VerificationError(
-                        (A0, A1, B0, B1, rv[i]), "shift maps not natural in the level direction"
-                    )
-                squares += 1
+    # each diagram once, in order of first use
+    tris = dict.fromkeys(
+        (sa[0][j], sb[1][j], sa[2][j], a is phi) for j in range(len(sv)) for a, sa, sb in sides
+    )
+    shifts = dict.fromkeys((A0, B1) for A0, B1, _, _ in tris)
+    steps = dict.fromkeys(
+        (sa[0][j], sa[0][j + 1], sb[1][j], sb[1][j + 1], a is phi)
+        for j in range(len(sv) - 1)
+        for a, sa, sb in sides
+    )
+    for A0, B1, A2, _ in tris:
+        nested((A0, B1), (B1, A2))
+        a0, b1, a2 = row(A0), row(B1), row(A2)
+        for i in range(len(rv)):
+            if path(a0[i], b1[i], a2[i]) != incl(a0[i], a2[i]):
+                raise VerificationError((A0, B1, A2, rv[i]), "interleaving triangle does not commute")
+    for A0, B1 in shifts:
+        a0, b1 = row(A0), row(B1)
+        for i in range(len(rv) - 1):
+            if path(a0[i], b1[i], b1[i + 1]) != path(a0[i], a0[i + 1], b1[i + 1]):
+                witness = (A0, B1, rv[i], rv[i + 1])
+                raise VerificationError(witness, "shift maps not natural in the scale direction")
+    for A0, A1, B0, B1, _ in steps:
+        nested((B0, B1), (A0, B0), (A1, B1), (A0, A1))
+        a0, a1, b0, b1 = row(A0), row(A1), row(B0), row(B1)
+        for i in range(len(rv)):
+            if path(a0[i], b0[i], b1[i]) != path(a0[i], a1[i], b1[i]):
+                witness = (A0, A1, B0, B1, rv[i])
+                raise VerificationError(witness, "shift maps not natural in the level direction")
+    triangles = len(rv) * len(tris)
+    squares = 2 * len(sv) * (len(rv) - 1) + len(rv) * len(steps)
     return InterleavingResult(
         upper=eps,
         certificate={"triangles": triangles, "squares": squares, "epsilon": format_rational(eps)},
@@ -744,7 +737,7 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
         death = simplices[solver.pivots[j]][0] if j in solver.pivots else INF
         if death != birth:
             bars.append((birth, death))
-    bars.sort(key=lambda b: (b[0], b[1] == INF, b[1] if b[1] != INF else 0))
+    bars.sort()  # by birth, then death, INF after every finite death
     return bars
 
 
@@ -772,15 +765,16 @@ def bottleneck_distance(bars_a, bars_b):
     """Exact bottleneck distance between two interval lists; infinite-death
     bars must match each other by birth.
 
-    The distance is the least candidate eps (zero, the cost of a pair of
-    bars, or half a finite bar's length) at which every bar is matched
+    The distance is the least candidate eps at which every bar is matched
     within eps.  Two shortcuts return exactly what the full search would:
     equal diagrams (compared as sorted lists) are at distance 0, and the
     infinite bars are matched in sorted order of birth, so they fit iff eps
-    >= max |a_i - b_i| over the two sorted birth lists.  That matching is
-    optimal because on a line two crossed pairs can be uncrossed without
-    raising the larger of their two gaps.  Only the finite bars go through
-    Kuhn's matching.
+    >= inf_gap = max |a_i - b_i| over the two sorted birth lists (0 without
+    infinite bars).  That matching is optimal because on a line two crossed
+    pairs can be uncrossed without raising the larger of their two gaps.  So
+    the candidates are inf_gap and those of the finite bars (the cost of a
+    pair, or half a bar's length) above it, and only the finite bars go
+    through Kuhn's matching.
     """
     if sorted(bars_a) == sorted(bars_b):
         return Fraction(0)
@@ -790,15 +784,14 @@ def bottleneck_distance(bars_a, bars_b):
     inf_b = sorted(b[0] for b in bars_b if b[1] == INF)
     if len(inf_a) != len(inf_b):
         return INF
-    inf_gap = max((abs(x - y) for x, y in zip(inf_a, inf_b)), default=-INF)
+    inf_gap = max((abs(x - y) for x, y in zip(inf_a, inf_b)), default=Fraction(0))
 
     def cost(x, y):
         return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
 
     halves_a = [(d - b) / 2 for b, d in fin_a]
     halves_b = [(d - b) / 2 for b, d in fin_b]
-    candidates = {Fraction(0)}
-    candidates.update(abs(x - y) for x, y in itertools.product(inf_a, inf_b))
+    candidates = {inf_gap}
     candidates.update(cost(x, y) for x, y in itertools.product(fin_a, fin_b))
     candidates.update(halves_a)
     candidates.update(halves_b)
@@ -806,8 +799,6 @@ def bottleneck_distance(bars_a, bars_b):
     na, nb = len(fin_a), len(fin_b)
 
     def feasible(eps):
-        if eps < inf_gap:
-            return False
         # finite bars: left = fin_a + proxies of fin_b, right = fin_b + proxies of fin_a
         edges = {}
         for i, x in enumerate(fin_a):
@@ -821,7 +812,7 @@ def bottleneck_distance(bars_a, bars_b):
             edges[na + jj] = opts
         return _perfect_matching(na + nb, edges)
 
-    for eps in sorted(candidates):
+    for eps in sorted(c for c in candidates if c >= inf_gap):
         if feasible(eps):
             return eps
     return INF

@@ -538,15 +538,77 @@ def test_bad_operation_has_one_wording(files, capsys):
         (["metric", "BAD"], {"domain": [None, "b"], "measurements": {"f": ["1", "2"]}}, "domain"),
         (["analyze", "BAD"], {"dataset": FIXTURE_C_LEFT, "M": {"s": [["x1", "x2"], ["x2", "x1"]]}}, "'s'"),
         (["seo", "units", "--valuemap", "BAD", "--incarnation", "INC"], {"table": [[v, v] for v in "123"]}, "table"),
+        # whole lines: a missing field, an object given as a list, and an unknown name, each after the file
+        (["metric", "BAD"], {"measurements": {"f": ["1"]}}, "error: bad data set BAD: missing field 'domain'\n"),
+        (
+            ["metric", "BAD"],
+            {"domain": ["p"], "measurements": [["f", "1"]]},
+            "error: bad data set BAD: measurements must be a JSON object, not list\n",
+        ),
+        (["analyze", "BAD"], {"M": {}}, "error: bad incarnation BAD: missing field 'dataset'\n"),
+        (
+            ["analyze", "BAD"],
+            {"dataset": [], "M": {}},
+            "error: bad incarnation BAD: dataset must be a JSON object, not list\n",
+        ),
+        (
+            ["analyze", "BAD"],
+            {"dataset": ONE_POINT, "M": [["id", {"p": "p"}]]},
+            "error: bad incarnation BAD: M must be a JSON object, not list\n",
+        ),
+        (
+            ["seo", "check", "--source", "INC", "--target", "INC", "--seo", "BAD"],
+            {"alpha": {"zz": "phi1"}, "T": {"id": "id"}},
+            "error: bad operator file BAD: no measurement named 'zz'\n",
+        ),
+        (
+            ["seo", "check", "--source", "INC", "--target", "INC", "--seo", "BAD"],
+            {"T": {"id": "id"}},
+            "error: bad operator file BAD: missing field 'alpha'\n",
+        ),
+        (
+            ["seo", "check", "--source", "INC", "--target", "INC", "--seo", "BAD"],
+            {"alpha": [["phi1", "phi1"]], "T": {"id": "id"}},
+            "error: bad operator file BAD: alpha must be a JSON object, not list\n",
+        ),
+        (
+            ["seo", "check", "--source", "INC", "--target", "INC", "--seo", "BAD"],
+            {"alpha": {}, "T": [["id", "id"]]},
+            "error: bad operator file BAD: T must be a JSON object, not list\n",
+        ),
+        (
+            ["seo", "extend", "--source", "INC", "--target", "INC", "--map", "BAD"],
+            dict(EXTENSION, alpha_bar=[["phi1", "phi1"]]),
+            "error: bad extension file BAD: alpha_bar must be a JSON object, not list\n",
+        ),
+        (
+            ["seo", "extend", "--source", "INC", "--target", "INC", "--map", "BAD"],
+            {"basis": ["phi1"], "alpha_bar": {"phi1": "phi1"}},
+            "error: bad extension file BAD: missing field 'T'\n",
+        ),
+        (
+            ["seo", "realize", "--source", "LEFT", "--target", "LEFT", "--alpha", "BAD"],
+            {"zz": "one"},
+            "error: bad measurement map BAD: no measurement named 'zz'\n",
+        ),
+        (
+            ["seo", "units", "--valuemap", "BAD", "--incarnation", "INC"],
+            {"builtin": "affine", "a": "1"},
+            "error: bad value map BAD: missing field 'b'\n",
+        ),
     ],
 )
 def test_wrong_json_type_exit_2_naming_the_field(files, capsys, argv, bad, what):
     _, write = files
-    paths = {"BAD": write("bad.json", bad), "INC": write("b.json", FIXTURE_B)}
+    paths = {
+        "BAD": write("bad.json", bad),
+        "INC": write("b.json", FIXTURE_B),
+        "LEFT": write("left.json", FIXTURE_C_LEFT),
+    }
     assert main([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert what in err
+    assert what.replace("BAD", paths["BAD"]) in err
 
 
 def test_numeric_domain_entries_are_still_points(files, capsys):

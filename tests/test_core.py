@@ -373,8 +373,16 @@ def test_measurements_are_extensional():
 
 def test_conflicting_names_rejected():
     dom = Domain(["a"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="name 'u' bound to two different value vectors"):
         DataSet(dom, [("u", [1]), ("u", [2])])
+
+
+def test_unnamed_measurements_take_the_least_free_m_name():
+    # an empty name is no name; "m0" is taken, so the unnamed [1] becomes m1,
+    # and [2] takes the name "u" given later to the same value vector
+    ds = DataSet(Domain(["a"]), [("", [2]), ("m0", [3]), (None, [1]), ("u", [2])])
+    assert [(m.name, m.values[0]) for m in ds] == [("m1", 1), ("u", 2), ("m0", 3)]
+    assert all(len(m.aliases) == 1 for m in ds)
 
 
 def test_membership_needs_the_same_domain():

@@ -644,6 +644,17 @@ def test_interleave_equals_the_lookup_walker(case):
     assert maps_read(ev) == maps_read(oracle_ev)
 
 
+@pytest.mark.parametrize("d", [0, 1])
+def test_interleave_of_a_measurement_with_itself_equals_the_walker(fixture_a, d):
+    # psi is phi: both sides of every diagram are the same side, and each is checked and counted once
+    rng = random.Random(66)
+    for ds in [fixture_a["both"]] + [random_dataset(rng) for _ in range(4)]:
+        for phi in ds:
+            res = interleave_upper(ds, phi, phi, d, 2)
+            want = oracle_interleave_upper(ds, phi, phi, d, 2)
+            assert (res.upper, res.certificate) == (want.upper, want.certificate)
+
+
 FULL = ("x1", "x2", "x3", "x4")
 
 
