@@ -188,6 +188,8 @@ class Incarnation:
         return "group-like" if all_bij else "general"
 
     def op_by_name(self, name: str) -> PointMap:
+        if not isinstance(name, str):
+            raise TypeError(f"operation names are strings, not {type(name).__name__}")
         try:
             return self._by_alias[name]
         except KeyError:

@@ -92,7 +92,7 @@ class Measurement:
         self.domain = domain
         vals = tuple(parse_rational(v) for v in values)
         if len(vals) != len(domain):
-            raise ValueError("value vector length does not match domain size")
+            raise ValueError(f"value vector of length {len(vals)} on a domain of {len(domain)} points")
         self.values = vals
         self.aliases = tuple(aliases)
         self._hash = None
@@ -144,7 +144,9 @@ class PointMap:
         self.target = target
         mp = {str(k): str(v) for k, v in dict(mapping).items()}
         if set(mp) != set(source.points):
-            raise ValueError("map must be total on the source domain")
+            x = next(x for x in (*source.points, *mp) if (x in mp) != (x in source))
+            why = f"no image for {x!r}" if x in source else f"{x!r} is not a source point"
+            raise ValueError(f"map must be total on the source domain: {why}")
         for v in mp.values():
             if v not in target:
                 raise ValueError(f"image point {v!r} not in target domain")
@@ -316,6 +318,8 @@ class DataSet:
             raise KeyError(f"measurement {m!r} not in data set") from None
 
     def by_name(self, name: str) -> Measurement:
+        if not isinstance(name, str):
+            raise TypeError(f"measurement names are strings, not {type(name).__name__}")
         try:
             return self._by_alias[name]
         except KeyError:

@@ -2,11 +2,12 @@
 
 ModMatrix is a small dense matrix, immutable row tuples of ints reduced mod
 p; it carries the homology maps that are composed, compared and emitted.
-ColumnSolver is the one elimination routine: sparse columns (dicts from row
-index to a nonzero residue), each reduced against the stored columns by its
-lowest nonzero row, as in the standard persistence algorithm (Zomorodian and
-Carlsson, "Computing Persistent Homology", 2005).  Ranks, kernel bases,
-homology coordinates and persistence pairings are all read off it.
+ColumnSolver is the one elimination routine, keeping one reduced sparse
+column (row index -> nonzero residue) per pivot, as in the standard
+persistence algorithm (Zomorodian and Carlsson, "Computing Persistent
+Homology", 2005).  Callers that need relations tag their columns with
+identity entries on negative rows and read them off the tags a reduction
+leaves, as in reducing [D; I] (Edelsbrunner and Harer, 2010).
 """
 
 
@@ -105,67 +106,62 @@ def _axpy(acc: dict, f: int, col: dict, p: int) -> None:
 class ColumnSolver:
     """Incremental sparse column reduction over F_p.
 
-    Columns are numbered in the order they are added.  A column that stays
-    nonzero after reduction is stored, scaled so that its lowest nonzero row
-    (its pivot) holds 1, and pivots maps that row to the column's number; no
-    two stored columns share a pivot, so the stored columns are independent
-    and span every column added so far.
+    Columns are numbered in the order they are added.  A column that keeps a
+    nonzero row >= 0 after reduction is stored, scaled so that its lowest such
+    row (its pivot) holds 1, and pivots maps that row to the column's number.
+    Rows below 0 are tags: never pivots, carried along by every reduction
+    step.  A caller that needs relations tags its columns (column k with 1 at
+    row -1 - k, say): add returns the tags left on a dependent column, and
+    coords the negated tags left on a column in the span.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.pivots = {}  # pivot row -> number of the stored column
-        self._stored = {}  # column number -> (reduced column, combination of added columns)
+        self._stored = {}  # column number -> reduced column
         self.n_added = 0
 
     def _reduce(self, col):
-        """(residue, combo) with residue = col + sum(combo[k] * column k)."""
+        """(residue, low): col minus its components along the stored columns'
+        pivots, and the residue's lowest nonzero row (-1 if it is zero)."""
         p = self.p
         col = {i: v % p for i, v in col.items() if v % p}
-        combo = {}
         while col:
             low = max(col)
             j = self.pivots.get(low)
             if j is None:
-                break
-            reduced, history = self._stored[j]
-            f = p - col[low]
-            _axpy(col, f, reduced, p)
-            _axpy(combo, f, history, p)
-        return col, combo
+                return col, low
+            _axpy(col, p - col[low], self._stored[j], p)
+        return col, -1
 
     def add(self, col):
-        """Store col if it is independent of the columns added before it and
-        return None.  Otherwise return its dependency relation: coefficients,
-        1 at col's own number and the rest on earlier stored columns, of a
-        combination of added columns that vanishes."""
-        col, combo = self._reduce(col)
+        """Store col and return None if it is independent of the columns
+        added before it.  Otherwise return the tags left on it: the tagged
+        columns' coefficients in a combination that vanishes on rows >= 0."""
+        col, low = self._reduce(col)
         idx = self.n_added
         self.n_added += 1
-        combo[idx] = 1
-        if not col:
-            return combo
-        low = max(col)
+        if low < 0:
+            return col
         inv = pow(col[low], self.p - 2, self.p)
         self.pivots[low] = idx
-        self._stored[idx] = (
-            {i: v * inv % self.p for i, v in col.items()},
-            {k: v * inv % self.p for k, v in combo.items()},
-        )
+        self._stored[idx] = {i: v * inv % self.p for i, v in col.items()}
         return None
 
     def coords(self, col):
-        """Coefficients over the stored columns reproducing col, or None."""
-        col, combo = self._reduce(col)
-        if col:
+        """Tag -> coefficient of the tagged stored columns that reproduce col
+        together with untagged ones, or None if col is not in their span."""
+        col, low = self._reduce(col)
+        if low >= 0:
             return None
-        return {k: self.p - v for k, v in combo.items()}
+        return {t: self.p - v for t, v in col.items()}
 
 
 def kernel_basis(columns, p: int) -> list:
     """Basis of the right kernel of the matrix with these sparse columns: one
     vector per column that depends on earlier ones, with 1 there and support
     otherwise only on earlier independent columns (the reduced row echelon
-    basis)."""
+    basis).  Column j is tagged with row -1 - j."""
     solver = ColumnSolver(p)
-    return [rel for rel in map(solver.add, columns) if rel is not None]
+    rels = (solver.add({**col, -1 - j: 1}) for j, col in enumerate(columns))
+    return [{-1 - t: v for t, v in rel.items()} for rel in rels if rel is not None]

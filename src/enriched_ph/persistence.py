@@ -201,7 +201,7 @@ class HomologySpace:
     representative basis modulo boundaries.
     """
 
-    __slots__ = ("complex", "degree", "p", "dim", "representatives", "_solver", "_rep_ids")
+    __slots__ = ("complex", "degree", "p", "dim", "representatives", "_solver")
 
     def __init__(self, cx: SimplicialComplex, degree: int, p: int):
         if cx.dim_cap < degree + 1:
@@ -213,25 +213,22 @@ class HomologySpace:
         self.p = p
         faces, cells = cx._index.get(degree - 1, {}), cx._index.get(degree, {})
         solver = ColumnSolver(p)
-        rep_ids = []
         reps = []
         for simplex in cx.dim_simplices(degree + 1):
             solver.add(_boundary(simplex, cells, p))
         for z in kernel_basis([_boundary(s, faces, p) for s in cx.dim_simplices(degree)], p):
-            if solver.add(z) is None:
-                rep_ids.append(solver.n_added - 1)
+            if solver.add({**z, -1 - len(reps): 1}) is None:  # representative k tagged -1 - k
                 reps.append(z)
         self.dim = len(reps)
         self.representatives = tuple(reps)
         self._solver = solver
-        self._rep_ids = rep_ids
 
     def coords_of(self, chain) -> tuple:
         """Class of a cycle in the representative basis; raises on non-cycles."""
         combo = self._solver.coords(chain)
         if combo is None:
             raise ValueError("chain is not a cycle modulo the stored boundaries")
-        return tuple(combo.get(i, 0) for i in self._rep_ids)
+        return tuple(combo.get(-1 - k, 0) for k in range(self.dim))
 
     def __repr__(self):
         return f"HomologySpace(H_{self.degree}, dim {self.dim}, p={self.p})"

@@ -206,6 +206,68 @@ def oracle_rank(rows, p: int) -> int:
     return rank
 
 
+def _axpy(acc: dict, f: int, col: dict, p: int) -> None:
+    for i, v in col.items():
+        nv = (acc.get(i, 0) + f * v) % p
+        if nv:
+            acc[i] = nv
+        else:
+            del acc[i]
+
+
+class HistorySolver:
+    """Column reduction that stores, beside each reduced column, the whole
+    combination of added columns that produced it: the oracle for the tags
+    that ColumnSolver carries instead."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots = {}  # pivot row -> number of the stored column
+        self._stored = {}  # column number -> (reduced column, combination of added columns)
+        self.n_added = 0
+
+    def _reduce(self, col):
+        """(residue, combo) with residue = col + sum(combo[k] * column k)."""
+        p = self.p
+        col = {i: v % p for i, v in col.items() if v % p}
+        combo = {}
+        while col:
+            low = max(col)
+            j = self.pivots.get(low)
+            if j is None:
+                break
+            reduced, history = self._stored[j]
+            f = p - col[low]
+            _axpy(col, f, reduced, p)
+            _axpy(combo, f, history, p)
+        return col, combo
+
+    def add(self, col):
+        """None if col is stored; else a vanishing combination of added
+        columns, 1 at col's own number."""
+        col, combo = self._reduce(col)
+        idx = self.n_added
+        self.n_added += 1
+        combo[idx] = 1
+        if not col:
+            return combo
+        low = max(col)
+        inv = pow(col[low], self.p - 2, self.p)
+        self.pivots[low] = idx
+        self._stored[idx] = (
+            {i: v * inv % self.p for i, v in col.items()},
+            {k: v * inv % self.p for k, v in combo.items()},
+        )
+        return None
+
+    def coords(self, col):
+        """Coefficients over the stored columns reproducing col, or None."""
+        col, combo = self._reduce(col)
+        if col:
+            return None
+        return {k: self.p - v for k, v in combo.items()}
+
+
 def oracle_homology_dim(vertices, dist, r, d: int, p: int) -> int:
     """dim H_d of the Vietoris-Rips complex, built from scratch."""
     verts = list(vertices)

@@ -596,6 +596,58 @@ def test_bad_operation_has_one_wording(files, capsys):
             {"builtin": "affine", "a": "1"},
             "error: bad value map BAD: missing field 'b'\n",
         ),
+        # a name given where a string belongs: one line naming the wrong type, per command and field
+        (
+            ["seo", "check", "--source", "INC", "--target", "INC", "--seo", "BAD"],
+            {"alpha": {"phi1": ["phi1"]}, "T": {"id": "id"}},
+            "error: bad operator file BAD: measurement names are strings, not list\n",
+        ),
+        (
+            ["seo", "check", "--source", "INC", "--target", "INC", "--seo", "BAD"],
+            {"alpha": {"phi1": "phi1"}, "T": {"id": ["id"]}},
+            "error: bad operator file BAD: operation names are strings, not list\n",
+        ),
+        (
+            ["seo", "extend", "--source", "INC", "--target", "INC", "--map", "BAD"],
+            dict(EXTENSION, basis=[["phi1"]]),
+            "error: bad extension file BAD: measurement names are strings, not list\n",
+        ),
+        (
+            ["seo", "extend", "--source", "INC", "--target", "INC", "--map", "BAD"],
+            dict(EXTENSION, alpha_bar={"phi1": ["phi1"]}),
+            "error: bad extension file BAD: measurement names are strings, not list\n",
+        ),
+        (
+            ["seo", "extend", "--source", "INC", "--target", "INC", "--map", "BAD"],
+            dict(EXTENSION, T={"id": ["id"]}),
+            "error: bad extension file BAD: operation names are strings, not list\n",
+        ),
+        (
+            ["seo", "realize", "--source", "LEFT", "--target", "LEFT", "--alpha", "BAD"],
+            {"one": ["one"], "two": "two"},
+            "error: bad measurement map BAD: measurement names are strings, not list\n",
+        ),
+        (
+            ["seo", "realize", "--source", "LEFT", "--target", "LEFT", "--alpha", "BAD"],
+            {"one": "one", "two": 2},
+            "error: bad measurement map BAD: measurement names are strings, not int\n",
+        ),
+        # a bad value names its witness
+        (
+            ["metric", "BAD"],
+            {"domain": ["a", "b"], "measurements": {"f": ["1"]}},
+            "error: bad data set BAD: value vector of length 1 on a domain of 2 points\n",
+        ),
+        (
+            ["analyze", "BAD"],
+            {"dataset": FIXTURE_C_LEFT, "M": {"s": {"x1": "x1"}}},
+            "error: bad incarnation BAD: map must be total on the source domain: no image for 'x2'\n",
+        ),
+        (
+            ["analyze", "BAD"],
+            {"dataset": FIXTURE_C_LEFT, "M": {"s": {"x1": "x1", "z": "x1", "x2": "x2"}}},
+            "error: bad incarnation BAD: map must be total on the source domain: 'z' is not a source point\n",
+        ),
     ],
 )
 def test_wrong_json_type_exit_2_naming_the_field(files, capsys, argv, bad, what):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from enriched_ph import homology, level_grid, scale_grid, sublevel, vr_complex
 from enriched_ph.linalg import ColumnSolver, ModMatrix, kernel_basis
-from conftest import oracle_homology_dim, oracle_rank, random_dataset
+from conftest import HistorySolver, oracle_homology_dim, oracle_rank, random_dataset
 
 PRIMES = [2, 3, 5, 7]
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -73,14 +73,16 @@ def test_coords_reproduce_accepted_columns(case, coeffs, data):
     p, rows, ncols = case
     cols = sparse_columns(rows, ncols)
     solver = ColumnSolver(p)
-    for col in cols:
-        solver.add(col)
+    for j, col in enumerate(cols):
+        solver.add({**col, -1 - j: 1})
     nrows = len(rows)
     arbitrary = st.dictionaries(
         st.integers(0, max(nrows - 1, 0)), st.integers(-p, 2 * p), max_size=nrows
     )
     for target in (combination(cols, coeffs, p), data.draw(arbitrary)):
         found = solver.coords(target)
+        if found is not None:
+            found = {-1 - t: v for t, v in found.items()}
         dense_target = [target.get(i, 0) for i in range(nrows)]
         extended = [r + [t] for r, t in zip(rows, dense_target)]
         in_span = oracle_rank(extended, p) == oracle_rank(rows, p)
@@ -89,6 +91,38 @@ def test_coords_reproduce_accepted_columns(case, coeffs, data):
             assert set(found) <= set(solver.pivots.values())
             rebuilt = combination([cols[k] for k in found], found.values(), p)
             assert rebuilt == combination([target], [1], p)
+
+
+@SETTINGS
+@given(matrices(), st.lists(st.integers(0, 6), min_size=8, max_size=8), st.data())
+def test_tags_equal_the_history_restricted_to_tagged_columns(case, coeffs, data):
+    """Pivots, relations and coordinates against the solver that keeps every
+    column's whole combination, with a random subset of columns tagged."""
+    p, rows, ncols = case
+    cols = sparse_columns(rows, ncols)
+    tagged = data.draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
+
+    def restricted(combo):
+        return {-1 - k: v for k, v in combo.items() if tagged[k]}
+
+    solver, oracle = ColumnSolver(p), HistorySolver(p)
+    for j, col in enumerate(cols):
+        rel = solver.add({**col, -1 - j: 1} if tagged[j] else col)
+        want = oracle.add(col)
+        assert (rel is None) == (want is None)
+        if want is not None:
+            assert rel == restricted(want)
+    assert solver.pivots == oracle.pivots
+    assert solver.n_added == oracle.n_added == ncols
+    nrows = len(rows)
+    arbitrary = st.dictionaries(
+        st.integers(0, max(nrows - 1, 0)), st.integers(-p, 2 * p), max_size=nrows
+    )
+    for target in (combination(cols, coeffs, p), data.draw(arbitrary), {}):
+        found, want = solver.coords(target), oracle.coords(target)
+        assert (found is None) == (want is None)
+        if want is not None:
+            assert found == restricted(want)
 
 
 @SETTINGS

@@ -190,6 +190,43 @@ def test_reflection_reverses_the_square_cycle_at_p3(fixture_a):
     assert induced_map(h, h, turn).rows == ((1,),)
 
 
+# a square a-b-c-d with a filled roof a-b-e (H_1 of rank 1), and a solid
+# tetrahedron a-b-c-d with a hollow one a-b-c-e on its face a-b-c (H_2 of rank 1)
+HOUSE = {
+    0: [(v,) for v in "abcde"],
+    1: [("a", "b"), ("a", "d"), ("a", "e"), ("b", "c"), ("b", "e"), ("c", "d")],
+    2: [("a", "b", "e")],
+}
+TWO_TETRAHEDRA = {
+    0: [(v,) for v in "abcde"],
+    1: [e for e in itertools.combinations("abcde", 2) if e != ("d", "e")],
+    2: [t for t in itertools.combinations("abcde", 3) if not {"d", "e"} <= set(t)],
+    3: [("a", "b", "c", "d")],
+}
+
+
+@pytest.mark.parametrize("simplices, degree, p", [(HOUSE, 1, 2), (TWO_TETRAHEDRA, 2, 3)])
+def test_coords_of_gives_boundaries_zero_and_rejects_non_cycles(simplices, degree, p):
+    cx = SimplicialComplex("abcde", simplices, degree + 1)
+    space = homology(cx, degree, p)
+    assert space.dim == 1
+
+    def boundary(simplex):
+        return {cx.index_of(simplex[:i] + simplex[i + 1 :]): (-1) ** i % p for i in range(len(simplex))}
+
+    (top,) = cx.dim_simplices(degree + 1)
+    assert space.coords_of(boundary(top)) == (0,)
+    (rep,) = space.representatives
+    assert space.coords_of(rep) == (1,)
+    moved = dict(rep)
+    for j, v in boundary(top).items():
+        moved[j] = (moved.get(j, 0) + 2 * v) % p
+    assert space.coords_of(moved) == (1,)
+    assert space.coords_of({j: 2 * v for j, v in rep.items()}) == (2 % p,)
+    with pytest.raises(ValueError, match="not a cycle"):
+        space.coords_of({0: 1})
+
+
 def test_non_simplicial_map_rejected(fixture_a):
     metric = fixture_a["both"].pseudometric()
     cx = vr_complex(fixture_a["domain"].points, metric.at, F(1), 2)
