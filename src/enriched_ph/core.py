@@ -266,11 +266,13 @@ class DataSet:
 
     A data set never changes after it is built, so it keeps what is derived
     from it: the pseudometric, and a memo (_slices) that persistence fills.
-    The memo holds the scale grid under "scale_grid", the Vietoris-Rips
-    complex on the whole domain under (r, dim cap), and a measurement's slice
-    barcode as a tuple under (measurement, degree, p, r).  Every evaluator on
-    this data set cuts its complexes from those whole-domain complexes, and
-    every bottleneck_lower call on it shares the barcodes.
+    The memo holds the integer grades under "grades" (the scale grid, the
+    grid index of each pairwise distance, and each measurement's values as
+    numerators over one common denominator), the Vietoris-Rips complex on
+    the whole domain under (scale index, dim cap), and a measurement's slice
+    barcode as a tuple under (measurement, degree, p, scale index).  Every
+    evaluator on this data set cuts its complexes from those whole-domain
+    complexes, and every bottleneck_lower call on it shares the barcodes.
 
     Measurements are looked up by the measurement itself, which keeps its
     hash, so an equal value vector over another domain is not found.

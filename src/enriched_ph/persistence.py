@@ -151,10 +151,12 @@ def _cut(whole: SimplicialComplex, vertices: frozenset) -> SimplicialComplex:
     return _graded(SimplicialComplex(points, simplices, whole.dim_cap), whole.scale, whole.metric)
 
 
-def _whole_complex(dataset: DataSet, r, dim_cap) -> SimplicialComplex:
-    memo, key = dataset._slices, (r, dim_cap)
+def _whole_complex(dataset: DataSet, i: int, dim_cap) -> SimplicialComplex:
+    """The VR complex on the whole domain at the i-th grid scale."""
+    memo, key = dataset._slices, (i, dim_cap)
     cx = memo.get(key)
     if cx is None:
+        r = scale_grid(dataset)[i]
         cx = memo[key] = vr_complex(dataset.domain.points, dataset.pseudometric().at, r, dim_cap)
     return cx
 
@@ -164,15 +166,52 @@ def sublevel(measurement: Measurement, s) -> tuple:
     return tuple(p for p in measurement.domain if measurement.at(p) <= s)
 
 
+class _Grades:
+    """The integer grades of one data set, built once and kept in its slice
+    memo under "grades".
+
+    scales is the scale grid, and index maps each grid scale to its index in
+    it.  pair[x][y] is the index of the distance between the points x and y.
+    Each measurement m takes the value numerators[m][k] / denominator at the
+    k-th domain point, over one common denominator, so values and their
+    differences compare as integers.
+    """
+
+    __slots__ = ("scales", "index", "pair", "denominator", "numerators")
+
+    def __init__(self, dataset: DataSet):
+        metric = dataset.pseudometric()
+        self.scales = tuple(sorted({Fraction(0), *metric.distinct_values()}))
+        index = self.index = {r: i for i, r in enumerate(self.scales)}
+        pts = metric.points
+        self.pair = {x: dict(zip(pts, (index[v] for v in row))) for x, row in zip(pts, metric.rows)}
+        den = self.denominator = math.lcm(*(v.denominator for m in dataset for v in m.values))
+        self.numerators = {m: tuple(v.numerator * (den // v.denominator) for v in m.values) for m in dataset}
+
+
+def _grades(dataset: DataSet) -> _Grades:
+    grades = dataset._slices.get("grades")
+    if grades is None:
+        grades = dataset._slices["grades"] = _Grades(dataset)
+    return grades
+
+
+def _scale_index(grades: _Grades, r) -> int:
+    """Index of the largest grid scale <= r: the VR complex of every vertex
+    set is the same at r as at that scale."""
+    i = grades.index.get(r)
+    if i is None:
+        if r < 0:
+            raise ValueError("scale parameter must be nonnegative")
+        i = bisect.bisect_right(grades.scales, r) - 1
+    return i
+
+
 def scale_grid(dataset: DataSet) -> tuple:
     """The r-grid of a data set: 0 and the distinct values of its
-    pseudometric, sorted.  It is computed once per data set and kept in the
-    data set's slice memo."""
-    memo = dataset._slices
-    grid = memo.get("scale_grid")
-    if grid is None:
-        grid = memo["scale_grid"] = tuple(sorted({Fraction(0), *dataset.pseudometric().distinct_values()}))
-    return grid
+    pseudometric, sorted.  It is computed once per data set, with the
+    data set's integer grades."""
+    return _grades(dataset).scales
 
 
 def level_grid(measurements) -> tuple:
@@ -313,15 +352,21 @@ def induced_map(src_space: HomologySpace, dst_space: HomologySpace, vmap) -> Mod
 class PHEvaluator:
     """Caching engine for one data set, with three memos.
 
-    Homology spaces (_hom) are keyed by (vertex set, scale, degree): the
-    vertex set in any order, the scale exactly as given.  So two level
-    queries share a space only when they give the same sublevel set, and two
-    scales share one only when they are equal (ev.homology(V, 1, 1) is not
-    ev.homology(V, 3/2, 1), though their complexes may agree).  A space's
-    complex is cut from the whole-domain VR complex at (scale, degree + 1)
-    in the data set's slice memo: the simplices that lie on the vertex set,
-    in the same order.  So a complex is built once per scale, not once per
-    vertex set, and every complex carries its grade.
+    Homology spaces (_hom) are keyed by (vertex set, canonical scale index,
+    degree), the vertex set in any order.  The VR complex on a vertex set V
+    changes only at the distances among V's points, so the canonical index
+    of a scale r is the largest index of a distance among V's points that is
+    at most the index of r on the scale grid, or 0 without one.  The complex
+    on V at r has exactly the simplices it has at that grid scale, so every
+    scale that gives V the same complex gets the same space:
+    ev.homology(V, 1, 1) is ev.homology(V, 3/2, 1) when no two points of V
+    lie at a distance in (1, 3/2].  The canonical index never decreases as
+    V or r grows, so inclusions still nest.  Each vertex set's sorted pair
+    indices are kept (_pairs).  A space's complex is cut from the
+    whole-domain VR complex at (canonical scale, degree + 1) in the data
+    set's slice memo: the simplices that lie on the vertex set, in the same
+    order, graded by the canonical grid scale.  So a complex is built once
+    per scale, not once per vertex set, and every complex carries its grade.
 
     Induced matrices (_maps) are keyed by (source space, target space, image
     tuple of the vertex map, or None for an inclusion).  The target space
@@ -341,21 +386,31 @@ class PHEvaluator:
         self.dataset = dataset
         self.p = check_prime(p)
         self._hom = {}
+        self._pairs = {}
         self._maps = {}
         self._paths = {}
 
     def homology(self, vertices, r, d) -> HomologySpace:
-        key = (frozenset(vertices), r, d)
+        vs = frozenset(vertices)
+        key = (vs, self._canonical_scale(vs, r), d)
         space = self._hom.get(key)
         if space is None:
             if d < 0:
                 raise ValueError(f"homology degree {d} is negative")
-            unknown = key[0].difference(self.dataset.domain.points)
-            if unknown:
-                raise ValueError(f"points not in the domain: {sorted(unknown, key=str)!r}")
-            cx = _cut(_whole_complex(self.dataset, r, d + 1), key[0])
+            cx = _cut(_whole_complex(self.dataset, key[1], d + 1), vs)
             space = self._hom[key] = HomologySpace(cx, d, self.p)
         return space
+
+    def _canonical_scale(self, vs: frozenset, r) -> int:
+        grades = _grades(self.dataset)
+        pairs = self._pairs.get(vs)
+        if pairs is None:
+            unknown = vs.difference(self.dataset.domain.points)
+            if unknown:
+                raise ValueError(f"points not in the domain: {sorted(unknown, key=str)!r}")
+            pairs = self._pairs[vs] = sorted({grades.pair[x][y] for x, y in itertools.combinations(vs, 2)})
+        k = bisect.bisect_right(pairs, _scale_index(grades, r))
+        return pairs[k - 1] if k else 0
 
     def _map(self, src: HomologySpace, dst: HomologySpace, g: PointMap = None) -> ModMatrix:
         key = (src, dst, None if g is None else g.image_tuple())
@@ -641,16 +696,24 @@ def interleave_upper(
     phi, psi = dataset.find(phi), dataset.find(psi)
     ev = evaluator if evaluator is not None else PHEvaluator(dataset, p)
     eps = sup_distance(phi, psi)
-    rv = scale_grid(ev.dataset)
-    sv = tuple(sorted(set(level_grid([phi])) | set(level_grid([psi]))))
-    levels = (sv, [s + eps for s in sv], [s + 2 * eps for s in sv])
+    grades = _grades(ev.dataset)
+    rv = grades.scales
+    # the level grid and its shifts s + k * eps as integer numerators over
+    # one denominator den, which the values' and eps's denominators divide
+    f = eps.denominator // math.gcd(grades.denominator, eps.denominator)
+    den = grades.denominator * f
+    values = {m: [v * f for v in grades.numerators[m]] for m in (phi, psi)}
+    e = eps.numerator * (den // eps.denominator)
+    sv = sorted({min(values[phi]) - den, min(values[psi]) - den, *values[phi], *values[psi]})
+    levels = [[s + k * e for s in sv] for k in range(3)]
     rows = {}
 
     def sublevels(m):
         # sublevel(m, s) at each level s + k * eps, as [k][index of s in sv]:
         # the points of the lowest values, in domain order
-        order = sorted(range(len(m.values)), key=m.values.__getitem__)
-        vals, pts = [m.values[i] for i in order], m.domain.points
+        nums = values[m]
+        order = sorted(range(len(nums)), key=nums.__getitem__)
+        vals, pts = [nums[i] for i in order], m.domain.points
         subs = [tuple(pts[i] for i in sorted(order[:k])) for k in range(len(order) + 1)]
         return [[subs[bisect.bisect_right(vals, s)] for s in shifted] for shifted in levels]
 
@@ -713,14 +776,18 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
     """Intervals [birth, death) in the level direction at a fixed scale: the
     simplices of the complex at scale r enter at their highest value, and the
     pivots of the column reduction of the filtered boundary matrix pair each
-    creator with the simplex that kills it.  The complex depends only on r,
-    so it is read from the data set's slice memo and shared by every
-    measurement."""
+    creator with the simplex that kills it.  The complex depends only on the
+    grid scale at or below r, so it is read from the data set's slice memo
+    and shared by every measurement.  Simplices are sorted by the integer
+    numerators of their values (the data set's grades); births and deaths
+    become Fractions only in the result."""
     _check_degree_and_prime(degree, p)
     m = dataset.find(m)
-    cx = _whole_complex(dataset, r, degree + 1)
+    grades = _grades(dataset)
+    cx = _whole_complex(dataset, _scale_index(grades, r), degree + 1)
+    value = dict(zip(dataset.domain.points, grades.numerators[m]))
     simplices = sorted(
-        (max(m.at(v) for v in s), k, s) for k, level in cx.simplices.items() for s in level
+        (max(value[v] for v in s), k, s) for k, level in cx.simplices.items() for s in level
     )
     pos = {s: j for j, (_, _, s) in enumerate(simplices)}
     solver = ColumnSolver(p)
@@ -735,7 +802,8 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
         if death != birth:
             bars.append((birth, death))
     bars.sort()  # by birth, then death, INF after every finite death
-    return bars
+    den = grades.denominator
+    return [(Fraction(b, den), INF if d == INF else Fraction(d, den)) for b, d in bars]
 
 
 def _perfect_matching(left, edges) -> bool:
@@ -826,16 +894,16 @@ def bottleneck_lower(dataset: DataSet, phi: Measurement, psi: Measurement, degre
     memo = dataset._slices
     phi, psi = dataset.find(phi), dataset.find(psi)
 
-    def barcode(m, r):
-        key = (m, degree, p, r)
+    def barcode(m, i, r):
+        key = (m, degree, p, i)
         bars = memo.get(key)
         if bars is None:
             bars = memo[key] = tuple(slice_barcode(dataset, m, degree, p, r))
         return bars
 
     best = Fraction(0)
-    for r in scale_grid(dataset):
-        d = bottleneck_distance(barcode(phi, r), barcode(psi, r))
+    for i, r in enumerate(scale_grid(dataset)):
+        d = bottleneck_distance(barcode(phi, i, r), barcode(psi, i, r))
         if d == INF:
             return INF
         best = max(best, d)

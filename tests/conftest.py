@@ -16,9 +16,9 @@ from enriched_ph.persistence import (
     chain_image,
     level_grid,
     scale_grid,
-    slice_barcode,
     sublevel,
     verify_simplicial,
+    vr_complex,
 )
 
 HALF_LATTICE = [Fraction(k, 2) for k in range(-6, 7)]
@@ -442,15 +442,40 @@ def oracle_bottleneck_distance(bars_a, bars_b):
     return INF
 
 
+def oracle_slice_barcode(dataset: DataSet, m, degree: int, p: int, r) -> list:
+    """The level-direction barcode at scale r, keyed by Fraction values: a
+    fresh VR complex at r, its simplices sorted by (highest value, dimension,
+    simplex), and HistorySolver's column reduction of the filtered boundary
+    matrix pairing each creator with its killer."""
+    m = dataset.find(m)
+    cx = vr_complex(dataset.domain.points, dataset.pseudometric().at, r, degree + 1)
+    simplices = sorted(
+        (max(m.at(v) for v in s), k, s) for k, level in cx.simplices.items() for s in level
+    )
+    pos = {s: j for j, (_, _, s) in enumerate(simplices)}
+    solver = HistorySolver(p)
+    for _, k, s in simplices:
+        solver.add({pos[s[:i] + s[i + 1 :]]: (-1) ** i % p for i in range(len(s))} if k else {})
+    killers = set(solver.pivots.values())
+    bars = []
+    for j, (birth, k, _) in enumerate(simplices):
+        if k != degree or j in killers:
+            continue
+        death = simplices[solver.pivots[j]][0] if j in solver.pivots else INF
+        if death != birth:
+            bars.append((birth, death))
+    return sorted(bars)
+
+
 def oracle_bottleneck_lower(dataset: DataSet, phi, psi, degree: int, p: int):
-    """The per-scale maximum of oracle_bottleneck_distance, with the
-    barcodes computed on a fresh copy of the data set, so that nothing is
-    shared with any other call."""
-    fresh = DataSet(dataset.domain, [(m.name, m.values) for m in dataset])
+    """The per-scale maximum of oracle_bottleneck_distance between
+    oracle_slice_barcode's barcodes, so that nothing is shared with any
+    other call."""
     best = Fraction(0)
-    for r in scale_grid(fresh):
+    for r in sorted({Fraction(0), *dataset.pseudometric().distinct_values()}):
         d = oracle_bottleneck_distance(
-            slice_barcode(fresh, phi, degree, p, r), slice_barcode(fresh, psi, degree, p, r)
+            oracle_slice_barcode(dataset, phi, degree, p, r),
+            oracle_slice_barcode(dataset, psi, degree, p, r),
         )
         if d == INF:
             return INF

@@ -53,6 +53,7 @@ from conftest import (
     oracle_homology_dim,
     oracle_inclusion_map,
     oracle_interleave_upper,
+    oracle_slice_barcode,
     random_dataset,
     random_incarnation,
 )
@@ -556,12 +557,40 @@ def test_ph_grid_looks_each_space_up_once_and_maps_by_space(fixture_a, monkeypat
     assert calls == {"homology": len(bp.grid.r_values) * len(bp.grid.s_values), "inclusion_matrix": 0}
 
 
-def test_homology_cache_keys_vertex_sets_not_orders_and_scales_as_given(fixture_a):
-    both = fixture_a["both"]
-    ev = PHEvaluator(both, 2)
-    pts = both.domain.points
-    assert ev.homology(pts, F(1), 1) is ev.homology(pts[::-1], F(1), 1)
-    assert ev.homology(pts, F(1), 1) is not ev.homology(pts, F(3, 2), 1)
+def test_homology_shares_a_space_between_scales_exactly_when_their_complexes_agree(fixture_a):
+    rng = random.Random(94)
+    for ds in [fixture_a["both"]] + [random_dataset(rng) for _ in range(5)]:
+        ev, metric, pts = PHEvaluator(ds, 2), ds.pseudometric(), ds.domain.points
+        grid = scale_grid(ds)
+        scales = sorted({*grid, *((a + b) / 2 for a, b in zip(grid, grid[1:])), grid[-1] + 1})
+        subsets = [pts, ()]
+        for _ in range(4):
+            chosen = rng.sample(pts, rng.randint(1, len(pts)))
+            subsets.append(tuple(x for x in pts if x in chosen))
+        for subset, d in itertools.product(subsets, (0, 1)):
+            fresh = {r: vr_complex(subset, metric.at, r, d + 1).simplices for r in scales}
+            for r, t in itertools.product(scales, repeat=2):
+                same = ev.homology(subset, r, d) is ev.homology(subset[::-1], t, d)
+                assert same == (fresh[r] == fresh[t]), (subset, r, t, d)
+
+
+def test_homology_at_the_edge_scales(fixture_a):
+    rng = random.Random(95)
+    for ds in [fixture_a["both"]] + [random_dataset(rng, min_points=3) for _ in range(5)]:
+        ev, metric, pts = PHEvaluator(ds, 2), ds.pseudometric(), ds.domain.points
+        grid = scale_grid(ds)
+        with pytest.raises(ValueError, match="scale parameter must be nonnegative"):
+            ev.homology(pts, F(-1, 2), 1)
+        assert ev._hom == {}
+        for d in (0, 1):
+            above = ev.homology(pts, grid[-1] + 1, d)
+            assert above is ev.homology(pts, grid[-1], d)
+            below_first = ev.homology(pts, grid[1] / 2, d)  # grid[1] is the least positive distance
+            assert below_first is ev.homology(pts, grid[0], d)
+            empty = ev.homology((), F(1), d)
+            assert empty.dim == 0
+            for space, r in ((above, grid[-1] + 1), (below_first, grid[1] / 2), (empty, F(1))):
+                assert space.dim == oracle_homology_dim(space.complex.points, metric.at, r, d, 2)
 
 
 def test_homology_rejects_unknown_points_and_negative_degrees(fixture_a):
@@ -797,7 +826,10 @@ def test_cut_complex_equals_the_vr_complex_on_the_subset():
             assert cut.points == fresh.points
             assert list(cut.simplices.items()) == list(fresh.simplices.items())
             assert cut._index == fresh._index
-            assert (cut.scale, cut.metric, cut.dim_cap) == (fresh.scale, fresh.metric, fresh.dim_cap)
+            assert (cut.metric, cut.dim_cap) == (fresh.metric, fresh.dim_cap)
+            grid = scale_grid(ds)
+            agree = [t for t in grid if vr_complex(cut.points, metric.at, t, d + 1).simplices == cut.simplices]
+            assert cut.scale == min(agree)
 
 
 def test_evaluator_builds_one_complex_per_scale(monkeypatch):
@@ -932,6 +964,27 @@ def test_slice_barcode_matches_grid_dims():
                 for j, s in enumerate(bp.grid.s_values):
                     alive = sum(1 for b, death in bars if b <= s and (death == INF or death > s))
                     assert alive == bp.spaces[i][j].dim
+
+
+@st.composite
+def sevenths_cases(draw):
+    """(data set, measurement, degree, p): 7-10 points, 1-3 measurements with values k/7."""
+    n = draw(st.integers(7, 10))
+    vector = st.tuples(*[st.sampled_from([F(k, 7) for k in range(-14, 15)])] * n)
+    vecs = draw(st.lists(vector, min_size=1, max_size=3, unique=True))
+    ds = DataSet(Domain([f"x{i}" for i in range(1, n + 1)]), [(f"f{i}", v) for i, v in enumerate(vecs)])
+    return ds, draw(st.sampled_from(list(ds))), draw(st.sampled_from([0, 1])), draw(st.sampled_from([2, 3]))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(interleave_cases().map(lambda case: (case[0], case[1], case[3], case[4])), sevenths_cases()))
+def test_slice_barcode_equals_the_fraction_keyed_oracle(case):
+    ds, m, d, p = case
+    for r in scale_grid(ds):
+        bars = slice_barcode(ds, m, d, p, r)
+        assert bars == oracle_slice_barcode(ds, m, d, p, r)
+        for birth, death in bars:
+            assert type(birth) is Fraction and (death is INF or type(death) is Fraction)
 
 
 def test_bottleneck_simple_cases():
