@@ -166,13 +166,13 @@ def cmd_ph(args) -> int:
         raise CliError(EXIT_INPUT, f"{flag} needs an incarnation input")
     if args.functor and os.path.exists(args.functor) and not os.path.isdir(args.functor):
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.functor)
-    wrote = False
-    if args.grid:
+    # the grid (on stdout when nothing else is asked for) shares its evaluator with the barcodes
+    bp = None
+    if args.grid or not (args.barcodes or args.functor or args.dot):
         bp = ph_grid(ds, m, args.degree, args.prime)
         _emit(bp.to_json_dict(), args.grid)
-        wrote = True
     if args.barcodes:
-        bp = ph_grid(ds, m, args.degree, args.prime)
+        bp = ph_grid(ds, m, args.degree, args.prime, evaluator=bp.evaluator if bp else None)
         lines = ["r,s_birth,s_death,degree"]
         for r in bp.grid.r_values:
             for birth, death in slice_barcode(ds, m, args.degree, args.prime, r):
@@ -181,7 +181,6 @@ def cmd_ph(args) -> int:
                     f"{format_rational(r)},{format_rational(birth)},{dtxt},{args.degree}"
                 )
         _write_text("\n".join(lines) + "\n", args.barcodes)
-        wrote = True
     if args.functor:
         functor = ph_functor(obj, args.degree, args.prime)
         os.makedirs(args.functor, exist_ok=True)
@@ -203,13 +202,8 @@ def cmd_ph(args) -> int:
             )
             index["edges"].append(fname)
         _emit(index, os.path.join(args.functor, "index.json"))
-        wrote = True
     if args.dot:
         _write_text(build_graph(obj).to_dot(), args.dot)
-        wrote = True
-    if not wrote:
-        bp = ph_grid(ds, m, args.degree, args.prime)
-        _emit(bp.to_json_dict())
     return EXIT_OK
 
 

@@ -265,14 +265,9 @@ class DataSet:
     Empty data sets are rejected unless allow_empty is set.
 
     A data set never changes after it is built, so it keeps what is derived
-    from it: the pseudometric, and a memo (_slices) that persistence fills.
-    The memo holds the integer grades under "grades" (the scale grid, the
-    grid index of each pairwise distance, and each measurement's values as
-    numerators over one common denominator), the Vietoris-Rips complex on
-    the whole domain under (scale index, dim cap), and a measurement's slice
-    barcode as a tuple under (measurement, degree, p, scale index).  Every
-    evaluator on this data set cuts its complexes from those whole-domain
-    complexes, and every bottleneck_lower call on it shares the barcodes.
+    from it: the pseudometric, and (_slices) the persistence index that
+    persistence builds on first use, or None before.  Every evaluator and
+    every bottleneck_lower call on this data set share that index.
 
     Measurements are looked up by the measurement itself, which keeps its
     hash, so an equal value vector over another domain is not found.
@@ -301,7 +296,7 @@ class DataSet:
         self._by_alias = {a: m for m in final for a in m.aliases}
         self._by_values = {m: m for m in final}
         self._metric = None
-        self._slices = {}
+        self._slices = None
 
     def __len__(self):
         return len(self.measurements)

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import Incarnation, blocks, is_independent, universal_incarnation
+from .actions import DEFAULT_ENUM_GUARD, Incarnation, blocks, is_independent, universal_incarnation
 from .core import (
     DataSet,
     Domain,
@@ -192,7 +192,7 @@ def compose_seo(first: SEO, second: SEO) -> SEO:
     return out
 
 
-def canonical_seo(inc: Incarnation, guard: int = 6) -> SEO:
+def canonical_seo(inc: Incarnation, guard: int = DEFAULT_ENUM_GUARD) -> SEO:
     """Identity on measurements into the incarnation with every operation."""
     universal = universal_incarnation(inc.dataset, guard)
     return validate_seo(inc, universal, {m: m for m in inc.dataset}, {g: g for g in inc.ops})

@@ -83,10 +83,10 @@ class SimplicialComplex:
 
     __slots__ = ("points", "simplices", "dim_cap", "scale", "metric", "_index", "_vertex_pos")
 
-    def __init__(self, points, simplices, dim_cap):
+    def __init__(self, points, simplices, dim_cap, scale=None, metric=None):
         self.points = tuple(points)
         self.dim_cap = dim_cap
-        self.scale = self.metric = None
+        self.scale, self.metric = scale, metric
         self._vertex_pos = {p: i for i, p in enumerate(self.points)}
         self.simplices = {k: tuple(v) for k, v in simplices.items()}
         self._index = {
@@ -111,11 +111,6 @@ class SimplicialComplex:
         return f"SimplicialComplex({sizes})"
 
 
-def _graded(cx: SimplicialComplex, r, dist) -> SimplicialComplex:
-    cx.scale, cx.metric = r, dist
-    return cx
-
-
 def _grade(cx: SimplicialComplex) -> str:
     return f"(scale {cx.scale}, cap {cx.dim_cap}, points {cx.points!r})"
 
@@ -136,7 +131,7 @@ def vr_complex(points, dist, r, dim_cap) -> SimplicialComplex:
         if not level:
             break
         simplices[k] = tuple(level)
-    return _graded(SimplicialComplex(pts, simplices, dim_cap), r, dist)
+    return SimplicialComplex(pts, simplices, dim_cap, r, dist)
 
 
 def _cut(whole: SimplicialComplex, vertices: frozenset) -> SimplicialComplex:
@@ -148,17 +143,7 @@ def _cut(whole: SimplicialComplex, vertices: frozenset) -> SimplicialComplex:
         if kept:
             simplices[k] = kept
     points = tuple(p for p in whole.points if p in vertices)
-    return _graded(SimplicialComplex(points, simplices, whole.dim_cap), whole.scale, whole.metric)
-
-
-def _whole_complex(dataset: DataSet, i: int, dim_cap) -> SimplicialComplex:
-    """The VR complex on the whole domain at the i-th grid scale."""
-    memo, key = dataset._slices, (i, dim_cap)
-    cx = memo.get(key)
-    if cx is None:
-        r = scale_grid(dataset)[i]
-        cx = memo[key] = vr_complex(dataset.domain.points, dataset.pseudometric().at, r, dim_cap)
-    return cx
+    return SimplicialComplex(points, simplices, whole.dim_cap, whole.scale, whole.metric)
 
 
 def sublevel(measurement: Measurement, s) -> tuple:
@@ -166,51 +151,84 @@ def sublevel(measurement: Measurement, s) -> tuple:
     return tuple(p for p in measurement.domain if measurement.at(p) <= s)
 
 
-class _Grades:
-    """The integer grades of one data set, built once and kept in its slice
-    memo under "grades".
+def _sublevels(points, values, levels) -> list:
+    """The points whose value does not exceed each level, in their order;
+    the values are sorted once, and each level is found by bisection."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranked = [values[k] for k in order]
+    subs = [tuple(points[k] for k in sorted(order[:n])) for n in range(len(order) + 1)]
+    return [subs[bisect.bisect_right(ranked, s)] for s in levels]
 
-    scales is the scale grid, and index maps each grid scale to its index in
-    it.  pair[x][y] is the index of the distance between the points x and y.
-    Each measurement m takes the value numerators[m][k] / denominator at the
-    k-th domain point, over one common denominator, so values and their
-    differences compare as integers.
+
+class _Grades:
+    """The persistence index of a data set: all that persistence keeps on
+    it, built on first use as its _slices.
+
+    scales is the scale grid, index maps each grid scale to its place in it,
+    pair[x][y] is the index of the distance between the points x and y, and
+    metric is the distance function.  Each measurement m takes the value
+    numerators[m][k] / denominator at the k-th domain point, so values and
+    their differences compare as integers.  The memos fill on use: the
+    whole-domain VR complexes by (scale index, cap), each vertex set's
+    sorted distance indices (pairs), and the slice barcodes that
+    bottleneck_lower shares, by (measurement, degree, p, scale index).
     """
 
-    __slots__ = ("scales", "index", "pair", "denominator", "numerators")
+    __slots__ = ("scales", "index", "pair", "metric", "denominator", "numerators", "complexes", "pairs", "barcodes")
 
     def __init__(self, dataset: DataSet):
         metric = dataset.pseudometric()
         self.scales = tuple(sorted({Fraction(0), *metric.distinct_values()}))
         index = self.index = {r: i for i, r in enumerate(self.scales)}
-        pts = metric.points
+        pts, self.metric = metric.points, metric.at
         self.pair = {x: dict(zip(pts, (index[v] for v in row))) for x, row in zip(pts, metric.rows)}
         den = self.denominator = math.lcm(*(v.denominator for m in dataset for v in m.values))
         self.numerators = {m: tuple(v.numerator * (den // v.denominator) for v in m.values) for m in dataset}
+        self.complexes, self.pairs, self.barcodes = {}, {}, {}
+
+    def scale_index(self, r) -> int:
+        """Index of the largest grid scale <= r: the VR complex of every
+        vertex set is the same at r as at that scale."""
+        i = self.index.get(r)
+        if i is None:
+            if r < 0:
+                raise ValueError("scale parameter must be nonnegative")
+            i = bisect.bisect_right(self.scales, r) - 1
+        return i
+
+    def canonical_index(self, vs: frozenset, r) -> int:
+        """The least scale index whose VR complex on vs is the one at r."""
+        pairs = self.pairs.get(vs)
+        if pairs is None:
+            unknown = vs.difference(self.pair)
+            if unknown:
+                raise ValueError(f"points not in the domain: {sorted(unknown, key=str)!r}")
+            pairs = self.pairs[vs] = sorted({self.pair[x][y] for x, y in itertools.combinations(vs, 2)})
+        k = bisect.bisect_right(pairs, self.scale_index(r))
+        return pairs[k - 1] if k else 0
+
+    def whole(self, i: int, dim_cap) -> SimplicialComplex:
+        """The VR complex on the whole domain at the i-th grid scale, built by
+        comparing distance indices with i and graded by the scale itself."""
+        key, pair = (i, dim_cap), self.pair
+        cx = self.complexes.get(key)
+        if cx is None:
+            # pair's keys are the domain's points, in order; graded before it is shared
+            cx = vr_complex(pair, lambda x, y: pair[x][y], i, dim_cap)
+            cx.scale, cx.metric = self.scales[i], self.metric
+            self.complexes[key] = cx
+        return cx
 
 
 def _grades(dataset: DataSet) -> _Grades:
-    grades = dataset._slices.get("grades")
-    if grades is None:
-        grades = dataset._slices["grades"] = _Grades(dataset)
-    return grades
-
-
-def _scale_index(grades: _Grades, r) -> int:
-    """Index of the largest grid scale <= r: the VR complex of every vertex
-    set is the same at r as at that scale."""
-    i = grades.index.get(r)
-    if i is None:
-        if r < 0:
-            raise ValueError("scale parameter must be nonnegative")
-        i = bisect.bisect_right(grades.scales, r) - 1
-    return i
+    if dataset._slices is None:
+        dataset._slices = _Grades(dataset)
+    return dataset._slices
 
 
 def scale_grid(dataset: DataSet) -> tuple:
     """The r-grid of a data set: 0 and the distinct values of its
-    pseudometric, sorted.  It is computed once per data set, with the
-    data set's integer grades."""
+    pseudometric, sorted, as kept in its persistence index."""
     return _grades(dataset).scales
 
 
@@ -350,23 +368,20 @@ def induced_map(src_space: HomologySpace, dst_space: HomologySpace, vmap) -> Mod
 
 
 class PHEvaluator:
-    """Caching engine for one data set, with three memos.
+    """Caching engine for one data set over F_p; what depends on the data
+    set alone is read from its persistence index.
 
     Homology spaces (_hom) are keyed by (vertex set, canonical scale index,
     degree), the vertex set in any order.  The VR complex on a vertex set V
     changes only at the distances among V's points, so the canonical index
-    of a scale r is the largest index of a distance among V's points that is
-    at most the index of r on the scale grid, or 0 without one.  The complex
-    on V at r has exactly the simplices it has at that grid scale, so every
-    scale that gives V the same complex gets the same space:
-    ev.homology(V, 1, 1) is ev.homology(V, 3/2, 1) when no two points of V
-    lie at a distance in (1, 3/2].  The canonical index never decreases as
-    V or r grows, so inclusions still nest.  Each vertex set's sorted pair
-    indices are kept (_pairs).  A space's complex is cut from the
-    whole-domain VR complex at (canonical scale, degree + 1) in the data
-    set's slice memo: the simplices that lie on the vertex set, in the same
-    order, graded by the canonical grid scale.  So a complex is built once
-    per scale, not once per vertex set, and every complex carries its grade.
+    of r, the largest index of such a distance at most r's index on the
+    scale grid (or 0), is the least index whose complex on V is the one at
+    r: ev.homology(V, 1, 1) is ev.homology(V, 3/2, 1) when no two points of
+    V lie at a distance in (1, 3/2].  It never decreases as V or r grows,
+    so inclusions still nest.  A space's complex is cut from the index's
+    whole-domain VR complex at (canonical index, degree + 1), in its order
+    and graded by the canonical grid scale, so a complex is built once per
+    scale, not once per vertex set, and every complex carries its grade.
 
     Induced matrices (_maps) are keyed by (source space, target space, image
     tuple of the vertex map, or None for an inclusion).  The target space
@@ -386,31 +401,18 @@ class PHEvaluator:
         self.dataset = dataset
         self.p = check_prime(p)
         self._hom = {}
-        self._pairs = {}
         self._maps = {}
         self._paths = {}
 
     def homology(self, vertices, r, d) -> HomologySpace:
-        vs = frozenset(vertices)
-        key = (vs, self._canonical_scale(vs, r), d)
+        vs, grades = frozenset(vertices), _grades(self.dataset)
+        key = (vs, grades.canonical_index(vs, r), d)
         space = self._hom.get(key)
         if space is None:
             if d < 0:
                 raise ValueError(f"homology degree {d} is negative")
-            cx = _cut(_whole_complex(self.dataset, key[1], d + 1), vs)
-            space = self._hom[key] = HomologySpace(cx, d, self.p)
+            space = self._hom[key] = HomologySpace(_cut(grades.whole(key[1], d + 1), vs), d, self.p)
         return space
-
-    def _canonical_scale(self, vs: frozenset, r) -> int:
-        grades = _grades(self.dataset)
-        pairs = self._pairs.get(vs)
-        if pairs is None:
-            unknown = vs.difference(self.dataset.domain.points)
-            if unknown:
-                raise ValueError(f"points not in the domain: {sorted(unknown, key=str)!r}")
-            pairs = self._pairs[vs] = sorted({grades.pair[x][y] for x, y in itertools.combinations(vs, 2)})
-        k = bisect.bisect_right(pairs, _scale_index(grades, r))
-        return pairs[k - 1] if k else 0
 
     def _map(self, src: HomologySpace, dst: HomologySpace, g: PointMap = None) -> ModMatrix:
         key = (src, dst, None if g is None else g.image_tuple())
@@ -544,6 +546,17 @@ def _check_grid(r_values, s_values) -> None:
         raise ValueError(f"r_values must be nonnegative, but start at {r_values[0]}")
 
 
+def _evaluator(dataset: DataSet, p: int, evaluator) -> PHEvaluator:
+    """A new evaluator, or the given one if it is on the data set over F_p."""
+    if evaluator is None:
+        return PHEvaluator(dataset, p)
+    if evaluator.dataset != dataset:
+        raise ValueError("the evaluator belongs to another data set")
+    if evaluator.p != p:
+        raise ValueError(f"the evaluator computes over F_{evaluator.p}, not F_{p}")
+    return evaluator
+
+
 def ph_grid(
     dataset: DataSet,
     measurement: Measurement,
@@ -556,11 +569,11 @@ def ph_grid(
     """Evaluate homology at every grid corner and the internal step maps."""
     _check_degree_and_prime(degree, p)
     m = dataset.find(measurement)
-    ev = evaluator if evaluator is not None else PHEvaluator(dataset, p)
-    rv = tuple(r_values) if r_values is not None else scale_grid(ev.dataset)
+    ev = _evaluator(dataset, p, evaluator)
+    rv = tuple(r_values) if r_values is not None else scale_grid(dataset)
     sv = tuple(s_values) if s_values is not None else level_grid([m])
     _check_grid(rv, sv)
-    bp = _persistence(ev, dataset, m, degree, p, CriticalGrid(rv, sv), [sublevel(m, s) for s in sv])
+    bp = _persistence(ev, dataset, m, degree, p, CriticalGrid(rv, sv), _sublevels(m.domain.points, m.values, sv))
     bp.verify_squares()
     return bp
 
@@ -619,6 +632,9 @@ def ph_map(source_bp: BigradedPersistence, target_bp: BigradedPersistence, reali
     Y, target the persistence of the preimage measurement on X."""
     if source_bp.grid != target_bp.grid:
         raise ValueError("the two persistences must be evaluated on one grid")
+    if (source_bp.degree, source_bp.p) != (target_bp.degree, target_bp.p):
+        s, t = source_bp, target_bp
+        raise ValueError(f"the source persistence is H_{s.degree} over F_{s.p}, the target H_{t.degree} over F_{t.p}")
     ev = source_bp.evaluator
     mats = [
         [ev.vertexmap_matrix(src, dst, realization) for src, dst in zip(src_row, dst_row)]
@@ -694,9 +710,9 @@ def interleave_upper(
     """
     _check_degree_and_prime(degree, p)
     phi, psi = dataset.find(phi), dataset.find(psi)
-    ev = evaluator if evaluator is not None else PHEvaluator(dataset, p)
+    ev = _evaluator(dataset, p, evaluator)
     eps = sup_distance(phi, psi)
-    grades = _grades(ev.dataset)
+    grades = _grades(dataset)
     rv = grades.scales
     # the level grid and its shifts s + k * eps as integer numerators over
     # one denominator den, which the values' and eps's denominators divide
@@ -705,17 +721,12 @@ def interleave_upper(
     values = {m: [v * f for v in grades.numerators[m]] for m in (phi, psi)}
     e = eps.numerator * (den // eps.denominator)
     sv = sorted({min(values[phi]) - den, min(values[psi]) - den, *values[phi], *values[psi]})
-    levels = [[s + k * e for s in sv] for k in range(3)]
     rows = {}
 
     def sublevels(m):
-        # sublevel(m, s) at each level s + k * eps, as [k][index of s in sv]:
-        # the points of the lowest values, in domain order
-        nums = values[m]
-        order = sorted(range(len(nums)), key=nums.__getitem__)
-        vals, pts = [nums[i] for i in order], m.domain.points
-        subs = [tuple(pts[i] for i in sorted(order[:k])) for k in range(len(order) + 1)]
-        return [[subs[bisect.bisect_right(vals, s)] for s in shifted] for shifted in levels]
+        # sublevel(m, s + k * eps) as [k][index of s in sv]
+        subs = _sublevels(m.domain.points, values[m], [s + k * e for k in range(3) for s in sv])
+        return [subs[k * len(sv) : (k + 1) * len(sv)] for k in range(3)]
 
     def row(vertices):
         spaces = rows.get(vertices)
@@ -776,15 +787,14 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
     """Intervals [birth, death) in the level direction at a fixed scale: the
     simplices of the complex at scale r enter at their highest value, and the
     pivots of the column reduction of the filtered boundary matrix pair each
-    creator with the simplex that kills it.  The complex depends only on the
-    grid scale at or below r, so it is read from the data set's slice memo
-    and shared by every measurement.  Simplices are sorted by the integer
-    numerators of their values (the data set's grades); births and deaths
-    become Fractions only in the result."""
+    creator with the simplex that kills it.  The complex is the persistence
+    index's whole-domain complex at the grid scale at or below r, shared by
+    every measurement.  Simplices are sorted by the integer numerators of
+    their values; births and deaths become Fractions only in the result."""
     _check_degree_and_prime(degree, p)
     m = dataset.find(m)
     grades = _grades(dataset)
-    cx = _whole_complex(dataset, _scale_index(grades, r), degree + 1)
+    cx = grades.whole(grades.scale_index(r), degree + 1)
     value = dict(zip(dataset.domain.points, grades.numerators[m]))
     simplices = sorted(
         (max(value[v] for v in s), k, s) for k, level in cx.simplices.items() for s in level
@@ -887,11 +897,10 @@ def bottleneck_lower(dataset: DataSet, phi: Measurement, psi: Measurement, degre
     """Largest per-scale bottleneck distance between the level-direction
     barcodes; a certified lower bound for the interleaving distance.
 
-    Each barcode is read from the data set's slice memo and computed by
-    slice_barcode only the first time any pair asks for it, so the pairs of
-    one data set share every measurement's barcodes."""
+    Each barcode is kept in the data set's persistence index and computed
+    by slice_barcode only the first time any pair asks for it."""
     _check_degree_and_prime(degree, p)
-    memo = dataset._slices
+    memo = _grades(dataset).barcodes
     phi, psi = dataset.find(phi), dataset.find(psi)
 
     def barcode(m, i, r):
@@ -930,6 +939,7 @@ def superlevel_duality_check(dataset: DataSet, phi: Measurement, degree: int, p:
     bp = ph_grid(neg_ds, to_image[phi], degree, p)
     if scale_grid(dataset) != bp.grid.r_values:
         return False
-    supers = [tuple(x for x in dataset.domain if phi.at(x) >= -s) for s in bp.grid.s_values]
+    # phi >= -s exactly where -phi <= s
+    supers = _sublevels(dataset.domain.points, [-v for v in phi.values], bp.grid.s_values)
     direct = _persistence(PHEvaluator(dataset, p), dataset, phi, degree, p, bp.grid, supers)
     return direct.to_json_dict() == bp.to_json_dict()

@@ -128,6 +128,42 @@ def test_ph_grid_golden(files, tmp_path, capsys):
     assert grid["dims"] == [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
 
 
+def test_ph_default_output_is_the_grid_file(files, tmp_path, capsys):
+    # with no output flag the grid goes to stdout, byte for byte as --grid writes it
+    _, write = files
+    path = write("psi.json", FIXTURE_A_BOTH)
+    out = tmp_path / "grid.json"
+    for d in ("0", "1"):
+        assert main(["ph", path, "-m", "phi", "-d", d]) == 0
+        printed = capsys.readouterr().out
+        assert main(["ph", path, "-m", "phi", "-d", d, "--grid", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed.encode() == out.read_bytes()
+
+
+def test_ph_grid_and_barcodes_build_each_homology_space_once(files, tmp_path, monkeypatch):
+    from enriched_ph import persistence
+
+    _, write = files
+    path = write("psi.json", FIXTURE_A_BOTH)
+    argv = ["ph", path, "-m", "phi", "-d", "1"]
+    alone = {}
+    for flag in ("--grid", "--barcodes"):
+        assert main([*argv, flag, str(tmp_path / "alone")]) == 0
+        alone[flag] = (tmp_path / "alone").read_bytes()
+    real, built = persistence.HomologySpace.__init__, []
+
+    def counted(self, cx, degree, p):
+        built.append((cx.points, cx.scale, degree))  # an evaluator's key for the space
+        real(self, cx, degree, p)
+
+    monkeypatch.setattr(persistence.HomologySpace, "__init__", counted)
+    assert main([*argv, "--grid", str(tmp_path / "g.json"), "--barcodes", str(tmp_path / "b.csv")]) == 0
+    assert built and len(built) == len(set(built))
+    assert (tmp_path / "g.json").read_bytes() == alone["--grid"]
+    assert (tmp_path / "b.csv").read_bytes() == alone["--barcodes"]
+
+
 def test_ph_unknown_measurement(files):
     _, write = files
     path = write("psi.json", FIXTURE_A_BOTH)

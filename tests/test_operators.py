@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from enriched_ph import (
     DataSet,
@@ -180,6 +182,63 @@ def test_seo_realization_for_domain_change_bijection(fixture_b):
     out, seo = domain_change_incarnation(inc, f)
     assert seo.realization == f
     assert find_seo_realization(seo) is not None
+
+
+@st.composite
+def small_incarnations(draw):
+    """1-4 points, up to two random self-maps, and the closure of one or two
+    measurements with values in {0, 1, 2} under them (at most five)."""
+    n = draw(st.integers(1, 4))
+    dom = Domain([f"x{i}" for i in range(1, n + 1)])
+    images = draw(st.lists(st.tuples(*[st.sampled_from(dom.points)] * n), max_size=2))
+    ops = [PointMap(dom, dom, dict(zip(dom.points, img))) for img in images]
+    meas = set(draw(st.lists(st.tuples(*[st.sampled_from((0, 1, 2))] * n), min_size=1, max_size=2)))
+    frontier = list(meas)
+    while frontier and len(meas) <= 5:
+        cur = frontier.pop()
+        for g in ops:
+            img = tuple(cur[dom.index(g(p))] for p in dom.points)
+            if img not in meas:
+                meas.add(img)
+                frontier.append(img)
+    assume(len(meas) <= 5)
+    return Incarnation(DataSet(dom, [(None, v) for v in sorted(meas)]), ops)
+
+
+@st.composite
+def validated_operators(draw):
+    """An operator between two small incarnations: a random operation map,
+    then one of the measurement maps equivariant for it."""
+    source, target = draw(small_incarnations()), draw(small_incarnations())
+    assume(target.ops or not source.ops)
+    tmap = {g: draw(st.sampled_from(target.ops)) for g in source.ops}
+    ms = list(source.dataset)
+    maps = [dict(zip(ms, images)) for images in itertools.product(list(target.dataset), repeat=len(ms))]
+    equivariant = [
+        alpha for alpha in maps if all(alpha[source.act(m, g)] == target.act(alpha[m], tmap[g]) for m in ms for g in tmap)
+    ]
+    assume(equivariant)
+    return validate_seo(source, target, draw(st.sampled_from(equivariant)), tmap)
+
+
+def realizes(seo, f: dict) -> bool:
+    """phi . f = alpha(phi) for every source measurement phi, and f . T(g) = g . f for every operation g."""
+    ys = seo.target.dataset.domain.points
+    return all(
+        phi.at(f[y]) == alpha_phi.at(y) for phi, alpha_phi in seo.measurement_map.items() for y in ys
+    ) and all(f[tg(y)] == g(f[y]) for g, tg in seo.operation_map.items() for y in ys)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(validated_operators())
+def test_seo_realization_search_equals_brute_force(seo):
+    xs, ys = seo.source.dataset.domain.points, seo.target.dataset.domain.points
+    brute = [f for f in (dict(zip(ys, img)) for img in itertools.product(xs, repeat=len(ys))) if realizes(seo, f)]
+    found = find_seo_realization(seo)
+    assert (found is None) == (not brute)
+    if found is not None:
+        assert (found.source, found.target) == (seo.target.dataset.domain, seo.source.dataset.domain)
+        assert realizes(seo, found.mapping)
 
 
 def test_find_all_realizations_counts():

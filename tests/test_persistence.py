@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enriched_ph import (
+    BigradedPersistence,
     DataSet,
     Domain,
+    GridMap,
     Incarnation,
     InterleavingResult,
     PHEvaluator,
@@ -33,6 +35,7 @@ from enriched_ph import (
     induced_map,
     interleave_upper,
     interleaving_bounds,
+    level_grid,
     ph_functor,
     ph_grid,
     ph_map,
@@ -44,7 +47,7 @@ from enriched_ph import (
     universal_incarnation,
     vr_complex,
 )
-from enriched_ph.persistence import INF, check_prime
+from enriched_ph.persistence import INF, _grades, _sublevels, check_prime
 from enriched_ph.linalg import ModMatrix
 from conftest import (
     HALF_LATTICE,
@@ -346,16 +349,52 @@ except VerificationError as exc:
 """
 
 
+def run_under_python_O(script: str) -> str:
+    """The standard output of a script run by python -O on this checkout's sources."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_failing_square_raises_under_python_O():
     # zeroing the scale maps of the full sublevel set (the only maps between
     # two spaces on all four points) breaks the square below them
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", FAILING_SQUARE], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "(0,", "2)"]
+    assert run_under_python_O(FAILING_SQUARE).split() == ["False", "(0,", "2)"]
+
+
+ONE_WRONG_LEVEL_MAP = """
+import enriched_ph.persistence as persistence
+from enriched_ph import DataSet, Domain, VerificationError, ph_grid
+from enriched_ph.linalg import ModMatrix
+
+real = persistence.induced_map
+
+
+def induced(src, dst, vmap):
+    m = real(src, dst, vmap)
+    if (src.complex.points, dst.complex.points, dst.complex.scale) == (("x1",), ("x1", "x2", "x3"), 0):
+        return ModMatrix.zeros(m.nrows, m.ncols, m.p)
+    return m
+
+
+persistence.induced_map = induced
+ds = DataSet(Domain(["x1", "x2", "x3", "x4"]), [("phi", ["-1", "0", "0", "1"]), ("psi", ["0", "1", "-1", "0"])])
+try:
+    ph_grid(ds, ds.by_name("phi"), 0, 2)
+except VerificationError as exc:
+    print(__debug__, exc.witness, exc, sep="|")
+"""
+
+
+def test_one_wrong_level_map_names_its_grid_cell_under_python_O():
+    # the level map from sublevel(phi, -1) = {x1} to sublevel(phi, 0) at scale
+    # 0 is the only map between those two spaces; zeroed, it breaks the
+    # square at cell (0, 1), whose other side maps the component of x1 to one
+    # component of {x1, x2, x3} at scale 1
+    out = run_under_python_O(ONE_WRONG_LEVEL_MAP)
+    assert out == "False|(0, 1)|internal grid square at cell (0, 1) does not commute\n"
 
 
 def test_lower_bound_above_upper_is_a_verification_error():
@@ -398,6 +437,47 @@ def test_ph_functor_arrows_are_natural(fixture_b):
     functor = ph_functor(fixture_b["incarnation"], 0, 2)
     for arrow in functor.arrows.values():
         assert arrow.is_natural()
+
+
+@pytest.mark.parametrize("side", ["right", "up"])
+def test_grid_map_against_one_wrong_internal_matrix_is_not_natural(fixture_b, side):
+    # the arrow of g1 from phi1's persistence to itself, against a copy of its
+    # target whose right (or up) matrix at cell (0, 2) is zeroed: that matrix
+    # after the arrow's is nonzero there, so one square at (0, 2) breaks.  Only
+    # the right loop reads right matrices and only the up loop reads up ones.
+    ds, g1 = fixture_b["dataset"], fixture_b["ops"]["g1"]
+    phi1 = ds.by_name("phi1")
+    arrow = ph_functor(fixture_b["incarnation"], 0, 2).arrows[(phi1, g1, phi1)]
+    t = arrow.target
+    assert arrow.is_natural()
+    internal = {"right": [list(row) for row in t.right], "up": [list(row) for row in t.up]}
+    good = internal[side][0][2]
+    assert (good @ arrow.at(0, 2)).rank() > 0
+    internal[side][0][2] = ModMatrix.zeros(good.nrows, good.ncols, 2)
+    wrong = BigradedPersistence(
+        t.dataset, t.measurement, t.degree, t.p, t.grid, t.spaces, internal["right"], internal["up"], t.evaluator
+    )
+    assert GridMap(arrow.grid, arrow.mats, arrow.source, wrong).is_natural() is False
+
+
+def test_ph_functor_names_the_edges_around_one_wrong_arrow_matrix(fixture_b, monkeypatch):
+    # g1 on sublevel(phi1, 2) = {x1, x2} at scale 0, and nothing else, maps by
+    # zero: only the arrow of the edge (phi1, g1, phi1) reads that matrix
+    import enriched_ph.persistence as persistence
+
+    real = persistence.induced_map
+
+    def induced(src, dst, vmap):
+        m = real(src, dst, vmap)
+        wrong = vmap == {"x1": "x2", "x2": "x2"} and src.complex.scale == 0
+        return ModMatrix.zeros(m.nrows, m.ncols, m.p) if wrong else m
+
+    monkeypatch.setattr(persistence, "induced_map", induced)
+    ds, ops = fixture_b["dataset"], fixture_b["ops"]
+    p1, p2 = ds.by_name("phi1"), ds.by_name("phi2")
+    with pytest.raises(VerificationError, match="persistence functor not functorial at edges") as info:
+        ph_functor(fixture_b["incarnation"], 0, 2)
+    assert info.value.witness == ((p1, ops["g1"], p1), (p1, ops["g3"], p2))
 
 
 def test_ph_functor_composition_rule(fixture_b):
@@ -621,6 +701,29 @@ def test_grids_must_increase_and_scales_be_nonnegative(fixture_a, fixture_b, kwa
         ph_functor(fixture_b["incarnation"], 0, 2, **kwargs)
 
 
+def test_evaluators_and_persistences_of_another_data_set_prime_or_degree_are_refused(fixture_a):
+    both, dom = fixture_a["both"], fixture_a["domain"]
+    phi, psi = both.by_name("phi"), both.by_name("psi")
+    moved = DataSet(dom, [("phi", ["-1", "0", "0", "1"]), ("psi", ["0", "5", "-1", "0"])])
+    for ev, message in (
+        (PHEvaluator(both, 2), "the evaluator computes over F_2, not F_3"),
+        (PHEvaluator(moved, 3), "the evaluator belongs to another data set"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ph_grid(both, phi, 1, 3, evaluator=ev)
+        with pytest.raises(ValueError, match=message):
+            interleave_upper(both, phi, psi, 1, 3, evaluator=ev)
+        assert ev._hom == {}
+    # an evaluator on an equal data set serves it
+    twin = DataSet(dom, [("phi", ["-1", "0", "0", "1"]), ("psi", ["0", "1", "-1", "0"])])
+    assert ph_grid(both, phi, 0, 3, evaluator=PHEvaluator(twin, 3)) == ph_grid(both, phi, 0, 3)
+    ident = PointMap.identity(dom)
+    with pytest.raises(ValueError, match="the source persistence is H_1 over F_2, the target H_1 over F_3"):
+        ph_map(ph_grid(both, phi, 1, 2), ph_grid(both, phi, 1, 3), ident)
+    with pytest.raises(ValueError, match="the source persistence is H_0 over F_2, the target H_1 over F_2"):
+        ph_map(ph_grid(both, phi, 0, 2), ph_grid(both, phi, 1, 2), ident)
+
+
 # ---------------------------------------------------------------------------
 # interleavings
 
@@ -691,6 +794,16 @@ def interleave_cases(draw):
     ds = DataSet(Domain([f"x{i}" for i in range(1, n + 1)]), [(f"f{i}", v) for i, v in enumerate(vecs)])
     phi, psi = draw(st.sampled_from(list(ds))), draw(st.sampled_from(list(ds)))
     return ds, phi, psi, draw(st.sampled_from([0, 1])), draw(st.sampled_from([2, 3]))
+
+
+@st.composite
+def sevenths_cases(draw):
+    """(data set, measurement, degree, p): 7-10 points, 1-3 measurements with values k/7."""
+    n = draw(st.integers(7, 10))
+    vector = st.tuples(*[st.sampled_from([F(k, 7) for k in range(-14, 15)])] * n)
+    vecs = draw(st.lists(vector, min_size=1, max_size=3, unique=True))
+    ds = DataSet(Domain([f"x{i}" for i in range(1, n + 1)]), [(f"f{i}", v) for i, v in enumerate(vecs)])
+    return ds, draw(st.sampled_from(list(ds))), draw(st.sampled_from([0, 1])), draw(st.sampled_from([2, 3]))
 
 
 def maps_read(ev):
@@ -798,13 +911,7 @@ except VerificationError as exc:
 
 
 def test_failing_level_square_raises_under_python_O():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", FAILING_LEVEL_SQUARE], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "5", "0"]
+    assert run_under_python_O(FAILING_LEVEL_SQUARE).split() == ["False", "5", "0"]
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +939,39 @@ def test_cut_complex_equals_the_vr_complex_on_the_subset():
             assert cut.scale == min(agree)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(interleave_cases().map(lambda case: case[0]), sevenths_cases().map(lambda case: case[0])))
+def test_whole_complexes_from_distance_indices_equal_the_fraction_built_ones(ds):
+    grades, metric = _grades(ds), ds.pseudometric()
+    for (i, r), cap in itertools.product(enumerate(scale_grid(ds)), (1, 2, 3)):
+        whole, fresh = grades.whole(i, cap), vr_complex(ds.domain.points, metric.at, r, cap)
+        assert whole.points == fresh.points
+        assert list(whole.simplices.items()) == list(fresh.simplices.items())
+        assert whole._index == fresh._index
+        assert (whole.scale, whole.metric, whole.dim_cap) == (fresh.scale, fresh.metric, fresh.dim_cap)
+        assert type(whole.scale) is Fraction
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(interleave_cases())
+def test_sublevels_by_bisection_equal_the_scan(case):
+    ds, phi, psi, _, _ = case
+    eps, grades, pts = sup_distance(phi, psi), _grades(ds), ds.domain.points
+    grid = level_grid([phi, psi])  # the sentinel, then every value
+    off_grid = [(a + b) / 2 for a, b in zip(grid, grid[1:])] + [grid[0] - 1, grid[-1] + 1]
+    shifted = [s + k * eps for s in grid for k in range(3)]
+    levels = [*grid, *off_grid, *shifted]
+    # the integer numerators of interleave_upper, over a denominator that eps's divides
+    den = grades.denominator * eps.denominator
+    assert all((s * den).denominator == 1 for s in shifted)
+    for m in (phi, psi):
+        assert _sublevels(pts, m.values, levels) == [sublevel(m, s) for s in levels]
+        nums = [n * eps.denominator for n in grades.numerators[m]]
+        assert _sublevels(pts, nums, [int(s * den) for s in shifted]) == [sublevel(m, s) for s in shifted]
+        supers = [tuple(x for x in pts if m.at(x) >= -s) for s in levels]
+        assert _sublevels(pts, [-v for v in m.values], levels) == supers
+
+
 def test_evaluator_builds_one_complex_per_scale(monkeypatch):
     import enriched_ph.persistence as persistence
 
@@ -847,7 +987,9 @@ def test_evaluator_builds_one_complex_per_scale(monkeypatch):
     ev = PHEvaluator(ds, 2)
     interleave_upper(ds, phi, psi, 1, 2, evaluator=ev)
     ph_grid(ds, phi, 1, 2, evaluator=ev)
-    assert sorted(built) == [(r, 2) for r in scale_grid(ds)]
+    # each whole complex is built once per grid index and cap, from integer distance indices
+    assert sorted(built) == [(i, 2) for i in range(len(scale_grid(ds)))]
+    assert all(type(i) is int for i, _ in built)
     assert len(ev._hom) > len(built)
     assert scale_grid(ds) is scale_grid(ds)
 
@@ -964,16 +1106,6 @@ def test_slice_barcode_matches_grid_dims():
                 for j, s in enumerate(bp.grid.s_values):
                     alive = sum(1 for b, death in bars if b <= s and (death == INF or death > s))
                     assert alive == bp.spaces[i][j].dim
-
-
-@st.composite
-def sevenths_cases(draw):
-    """(data set, measurement, degree, p): 7-10 points, 1-3 measurements with values k/7."""
-    n = draw(st.integers(7, 10))
-    vector = st.tuples(*[st.sampled_from([F(k, 7) for k in range(-14, 15)])] * n)
-    vecs = draw(st.lists(vector, min_size=1, max_size=3, unique=True))
-    ds = DataSet(Domain([f"x{i}" for i in range(1, n + 1)]), [(f"f{i}", v) for i, v in enumerate(vecs)])
-    return ds, draw(st.sampled_from(list(ds))), draw(st.sampled_from([0, 1])), draw(st.sampled_from([2, 3]))
 
 
 @settings(max_examples=60, deadline=None, database=None)
