@@ -15,11 +15,21 @@ from .errors import DomainMismatch, GuardExceeded, NotOperation, VerificationErr
 DEFAULT_ENUM_GUARD = 6
 
 
-def operation_violation(g: PointMap, dataset: DataSet):
-    """First measurement phi with phi . g outside the data set, or None."""
+def _action(g: PointMap, dataset: DataSet):
+    """(row, None) with row[phi] the stored phi . g, or (None, phi) for the first phi . g outside the set."""
     if g.source != dataset.domain or g.target != dataset.domain:
         raise DomainMismatch("operation must be an endomorphism of the data set domain")
-    return next((m for m in dataset if m.compose(g) not in dataset), None)
+    row = {}
+    for m in dataset:
+        row[m] = dataset._by_values.get(m.compose(g))
+        if row[m] is None:
+            return None, m
+    return row, None
+
+
+def operation_violation(g: PointMap, dataset: DataSet):
+    """First measurement phi with phi . g outside the data set, or None."""
+    return _action(g, dataset)[1]
 
 
 def is_operation(g: PointMap, dataset: DataSet) -> bool:
@@ -147,21 +157,23 @@ class Incarnation:
     input: "group" and "monoid" require closure under composition with
     identity, "group-like" means all operations are bijections, anything
     else is "general".  An empty operation set is allowed; a name bound to
-    two different operations is not.
+    two different operations is not.  Verifying each operation keeps its
+    action table row (phi -> phi . g), which act and reach read.
     """
 
-    __slots__ = ("dataset", "ops", "kind", "_by_alias", "_closure", "_reach")
+    __slots__ = ("dataset", "ops", "kind", "_by_alias", "_action", "_closure", "_reach")
 
     def __init__(self, dataset: DataSet, ops=()):
         self.dataset = dataset
-        first, found = {}, []
+        first, found, self._action = {}, [], {}
         for g in ops:
             if not isinstance(g, PointMap):
                 name, g = g
                 g = g.with_aliases((name,) + tuple(a for a in g.aliases if a != name))
-            bad = operation_violation(g, dataset)
-            if bad is not None:
-                raise NotOperation(g, bad)
+            if g not in self._action:
+                self._action[g], bad = _action(g, dataset)
+                if bad is not None:
+                    raise NotOperation(g, bad)
             key = g.image_tuple()
             first.setdefault(key, g)
             found.append((key, g.aliases))
@@ -201,26 +213,23 @@ class Incarnation:
         return self._closure
 
     def act(self, m: Measurement, g: PointMap) -> Measurement:
-        return self.dataset.find(m.compose(g))
+        """The stored m . g, for g one of the operations (aliases ignored)."""
+        row = self._action.get(g)
+        if row is None:
+            raise KeyError(f"{g!r} is not an operation of this incarnation")
+        return row[m]
 
     def reach(self) -> dict:
         """For each measurement, the set of measurements reachable by words."""
         if self._reach is None:
-            step = {
-                m: {self.act(m, g) for g in self.ops} for m in self.dataset
-            }
-            out = {}
+            rows, out = self._action.values(), {}
             for m in self.dataset:
-                seen = {m}
-                frontier = [m]
-                while frontier:
-                    nxt = []
-                    for cur in frontier:
-                        for dst in step[cur]:
-                            if dst not in seen:
-                                seen.add(dst)
-                                nxt.append(dst)
-                    frontier = nxt
+                seen, todo = {m}, [m]
+                while todo:
+                    cur = todo.pop()
+                    fresh = {row[cur] for row in rows} - seen
+                    seen |= fresh
+                    todo.extend(fresh)
                 out[m] = frozenset(seen)
             self._reach = out
         return self._reach

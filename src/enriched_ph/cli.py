@@ -9,6 +9,7 @@ overrides enumeration guards.
 """
 
 import argparse
+import contextlib
 import errno
 import json
 import os
@@ -37,6 +38,7 @@ from .operators import (
     decompose,
     extend_from_basis,
     find_realization,
+    realization_candidates,
     validate_seo,
 )
 from .persistence import INF, interleaving_bounds, ph_functor, ph_grid, slice_barcode
@@ -89,15 +91,20 @@ def _load_json(path) -> dict:
     return data
 
 
-def _parse(cls, data, path):
-    """A DataSet or an Incarnation from parsed JSON; a bad field's error names the file."""
+@contextlib.contextmanager
+def _reading(what, path):
+    """Report a missing or ill-typed field read inside as an input error naming the file."""
     try:
-        return cls.from_json_dict(data)
+        yield
     except NotOperation:
         raise  # a ValueError, but main maps it to EXIT_INCARNATION
     except _BAD_FIELD as exc:
-        what = "incarnation" if cls is Incarnation else "data set"
         raise CliError(EXIT_INPUT, f"bad {what} {path}: {_message(exc)}")
+
+
+def _parse(cls, data, path):
+    with _reading("incarnation" if cls is Incarnation else "data set", path):
+        return cls.from_json_dict(data)
 
 
 def _load_dataset(path) -> DataSet:
@@ -222,14 +229,12 @@ def cmd_interleave(args) -> int:
 
 def _load_seo_maps(path, source, target):
     data = _load_json(path)
-    try:
+    with _reading("operator file", path):
         alpha = {
             source.dataset.by_name(k): target.dataset.by_name(v)
             for k, v in _object_field(data, "alpha").items()
         }
         tmap = {source.op_by_name(k): target.op_by_name(v) for k, v in _object_field(data, "T").items()}
-    except _BAD_FIELD as exc:
-        raise CliError(EXIT_INPUT, f"bad operator file {path}: {_message(exc)}")
     return alpha, tmap
 
 
@@ -266,7 +271,7 @@ def cmd_seo_extend(args) -> int:
     source = _load_incarnation(args.source)
     target = _load_incarnation(args.target)
     data = _load_json(args.map)
-    try:
+    with _reading("extension file", args.map):
         basis = [source.dataset.by_name(n) for n in _json_list(_json_field(data, "basis"), "basis")]
         alpha_bar = {
             source.dataset.by_name(k): target.dataset.by_name(v)
@@ -274,8 +279,6 @@ def cmd_seo_extend(args) -> int:
         }
         tmap = {source.op_by_name(k): target.op_by_name(v) for k, v in _object_field(data, "T").items()}
         variant = data.get("variant", "SEO")
-    except _BAD_FIELD as exc:
-        raise CliError(EXIT_INPUT, f"bad extension file {args.map}: {_message(exc)}")
     try:
         seo = extend_from_basis(source, target, basis, alpha_bar, tmap, variant)
     except HypothesisViolation as exc:
@@ -289,17 +292,13 @@ def cmd_seo_realize(args) -> int:
     source = _load_dataset(args.source)
     target = _load_dataset(args.target)
     data = _load_json(args.alpha)
-    try:
+    with _reading("measurement map", args.alpha):
         alpha = {source.by_name(k): target.by_name(v) for k, v in data.items()}
-    except _BAD_FIELD as exc:
-        raise CliError(EXIT_INPUT, f"bad measurement map {args.alpha}: {_message(exc)}")
     for m in source:
         if m not in alpha:
             raise CliError(EXIT_INPUT, f"measurement map is not total: missing {m.name}")
     found = find_realization(source, target, alpha)
     if found is None:
-        from .operators import realization_candidates
-
         cands = realization_candidates(source, target, alpha)
         empty = sorted(y for y, c in cands.items() if not c)
         _emit({"realizable": False, "empty_candidates_at": empty}, args.output)
@@ -324,10 +323,8 @@ def cmd_seo_decompose(args) -> int:
 
 def cmd_seo_units(args) -> int:
     inc = _load_incarnation(args.incarnation)
-    try:
+    with _reading("value map", args.valuemap):
         vm = ValueMap.from_json_dict(_load_json(args.valuemap))
-    except _BAD_FIELD as exc:
-        raise CliError(EXIT_INPUT, f"bad value map {args.valuemap}: {_message(exc)}")
     out, seo = change_units_seo(vm, inc)
     _emit({"image": out.to_json_dict(), "seo": seo.to_json_dict()}, args.output)
     return EXIT_OK

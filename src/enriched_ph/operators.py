@@ -262,7 +262,8 @@ def find_seo_realization(seo: SEO):
                     return None
                 continue
             if cx not in cands[cy]:
-                return None
+                # equivariance sends candidates to candidates: the operator changed after validation
+                raise VerificationError((cy, cx), f"{cx} is not a candidate for {cy} in a validated operator")
             assign[cy] = cx
             for g, tg in pairs:
                 queue.append((tg(cy), g(cx)))
@@ -367,13 +368,7 @@ def _closure_pairs(source, target, seeds, tmap):
     Returns (assignment, conflict); a conflict is the violated Relation
     between the two seed measurements whose derivations disagree.
     """
-    assign = {}
-    parent = {}
-    queue = []
-    for omega, image in seeds.items():
-        assign[omega] = image
-        parent[omega] = None
-        queue.append(omega)
+    assign, parent, queue = dict(seeds), dict.fromkeys(seeds), list(seeds)
     while queue:
         phi = queue.pop(0)
         psi = assign[phi]
@@ -400,6 +395,20 @@ def _derivation(parent, phi):
     return phi, tuple(reversed(word))
 
 
+def _operation_map(source, target, operation_map) -> dict:
+    tmap, tset = dict(operation_map), set(target.ops)
+    for g in source.ops:
+        if g not in tmap or tmap[g] not in tset:
+            raise ValueError(f"operation map must send {g.name} to a target operation")
+    return tmap
+
+
+def _isotropy_violation(source, target, tmap, omega, psi):
+    """First operation g fixing omega whose image T(g) does not fix psi, or None."""
+    fixing = (g for g in source.ops if source.act(omega, g) == omega)
+    return next((g for g in fixing if target.act(psi, tmap[g]) != psi), None)
+
+
 def extend_from_basis(
     source: Incarnation,
     target: Incarnation,
@@ -423,11 +432,7 @@ def extend_from_basis(
     alpha_bar = {source.dataset.find(k): target.dataset.find(v) for k, v in alpha_bar.items()}
     if set(alpha_bar) != set(basis):
         raise ValueError("alpha_bar must be defined exactly on the basis")
-    tmap = dict(operation_map)
-    tset = set(target.ops)
-    for g in source.ops:
-        if g not in tmap or tmap[g] not in tset:
-            raise ValueError(f"operation map must send {g.name} to a target operation")
+    tmap = _operation_map(source, target, operation_map)
 
     if variant not in ("SEO", "MEO", "GEO"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -445,26 +450,18 @@ def extend_from_basis(
 
     if variant == "MEO":
         # well-definedness scan over single-step coincidences
-        for (w1, g), (w2, h) in itertools.product(
-            itertools.product(basis, source.ops), repeat=2
-        ):
+        for (w1, g), (w2, h) in itertools.product(itertools.product(basis, source.ops), repeat=2):
             if source.act(w1, g) == source.act(w2, h):
-                lhs = target.act(alpha_bar[w1], tmap[g])
-                rhs = target.act(alpha_bar[w2], tmap[h])
-                if lhs != rhs:
+                if target.act(alpha_bar[w1], tmap[g]) != target.act(alpha_bar[w2], tmap[h]):
                     bad = Relation(w1, w2, (g,), (h,))
-                    raise HypothesisViolation(
-                        bad, f"{bad!r} holds but its image does not"
-                    )
+                    raise HypothesisViolation(bad, f"{bad!r} holds but its image does not")
     if variant == "GEO":
         for omega in basis:
-            for g in source.ops:
-                if source.act(omega, g) == omega:
-                    if target.act(alpha_bar[omega], tmap[g]) != alpha_bar[omega]:
-                        raise HypothesisViolation(
-                            Relation(omega, omega, (g,), ()),
-                            f"T({g.name}) does not fix the image of {omega.name}",
-                        )
+            g = _isotropy_violation(source, target, tmap, omega, alpha_bar[omega])
+            if g is not None:
+                raise HypothesisViolation(
+                    Relation(omega, omega, (g,), ()), f"T({g.name}) does not fix the image of {omega.name}"
+                )
 
     assign, conflict = _closure_pairs(source, target, alpha_bar, tmap)
     if conflict is not None:
@@ -487,15 +484,12 @@ def enumerate_geos(source: Incarnation, omega: Measurement, target: Incarnation,
     if len(blocks(source)) != 1:
         raise HypothesisViolation((len(blocks(source)),), "source must be transitive")
     omega = source.dataset.find(omega)
-    tmap = dict(operation_map)
-    isotropy = [g for g in source.ops if source.act(omega, g) == omega]
-    out = []
-    for psi in target.dataset:
-        if all(target.act(psi, tmap[g]) == psi for g in isotropy):
-            out.append(
-                extend_from_basis(source, target, (omega,), {omega: psi}, tmap, variant="GEO")
-            )
-    return out
+    tmap = _operation_map(source, target, operation_map)
+    return [
+        extend_from_basis(source, target, (omega,), {omega: psi}, tmap, variant="GEO")
+        for psi in target.dataset
+        if _isotropy_violation(source, target, tmap, omega, psi) is None
+    ]
 
 
 # ---------------------------------------------------------------------------

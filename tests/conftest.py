@@ -1,5 +1,6 @@
 """Shared fixtures, random instance generators, and independent oracles."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -179,6 +180,33 @@ def oracle_kind(ops, domain: Domain) -> str:
         assert not all_bij or all(g.inverse() in ops for g in ops)
         return "group" if all_bij else "monoid"
     return "group-like" if all_bij else "general"
+
+
+# ---------------------------------------------------------------------------
+# action oracle: every composite phi . g built afresh by Measurement.compose
+
+
+def oracle_edges(inc: Incarnation) -> list:
+    """The edges (phi, g, phi . g) in build_graph's order, each image composed
+    and looked up anew."""
+    return [(m, g, inc.dataset.find(m.compose(g))) for m in inc.dataset for g in inc.ops]
+
+
+def oracle_reach(inc: Incarnation) -> dict:
+    """Each measurement's reachable set, by breadth-first search over oracle_edges."""
+    step = {m: [] for m in inc.dataset}
+    for a, _, b in oracle_edges(inc):
+        step[a].append(b)
+    out = {}
+    for m in inc.dataset:
+        seen, queue = {m}, collections.deque([m])
+        while queue:
+            for b in step[queue.popleft()]:
+                if b not in seen:
+                    seen.add(b)
+                    queue.append(b)
+        out[m] = frozenset(seen)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,12 @@ from enriched_ph import (
     Domain,
     GuardExceeded,
     Incarnation,
+    Measurement,
     NotOperation,
     PointMap,
     block_incarnation,
     blocks,
+    build_graph,
     deformation_closure,
     dimension,
     enumerate_aut,
@@ -30,10 +33,13 @@ from enriched_ph import (
 )
 from conftest import (
     oracle_aut,
+    oracle_edges,
     oracle_end,
     oracle_kind,
+    oracle_reach,
     random_incarnation,
     random_permutation,
+    random_point_map,
     random_transitive_group_incarnation,
 )
 
@@ -149,6 +155,73 @@ def test_operation_violation_names_the_first_measurement_that_leaves(fixture_a):
         Incarnation(ds, [g])
     assert info.value.measurement is bad
     assert operation_violation(PointMap.identity(ds.domain), ds) is None
+
+
+# ---------------------------------------------------------------------------
+# the action table
+
+
+def count_measurements(mp) -> dict:
+    """Count Measurement.compose calls and Measurement constructions from now on."""
+    counts = {"compose": 0, "built": 0}
+    compose, init = Measurement.compose, Measurement.__init__
+
+    def counted_compose(self, g):
+        counts["compose"] += 1
+        return compose(self, g)
+
+    def counted_init(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    mp.setattr(Measurement, "compose", counted_compose)
+    mp.setattr(Measurement, "__init__", counted_init)
+    return counts
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_action_table_equals_composing_afresh(seed):
+    rng = random.Random(seed)
+    inc = random_incarnation(rng)
+    ds = inc.dataset
+    edges, reach = oracle_edges(inc), oracle_reach(inc)
+    with pytest.MonkeyPatch.context() as mp:
+        counts = count_measurements(mp)
+        acted = [(m, g, inc.act(m, g)) for m in ds for g in inc.ops]
+        found, graph = inc.reach(), build_graph(inc)
+        assert counts == {"compose": 0, "built": 0}
+    assert acted == edges
+    assert [b.aliases for _, _, b in acted] == [b.aliases for _, _, b in edges]
+    assert found == reach
+    assert list(graph.edges) == edges
+    # aliases are ignored: an operation under another name acts the same
+    for g in inc.ops:
+        renamed = g.with_aliases(("another name",))
+        assert all(inc.act(m, renamed) is inc.act(m, g) for m in ds)
+    # any other map is refused by name, whether or not its composites stay in the set
+    g = random_point_map(rng, ds.domain, ds.domain)
+    if g not in inc.ops:
+        for m in ds:
+            with pytest.raises(KeyError, match=re.escape(f"{g!r} is not an operation of this incarnation")):
+                inc.act(m, g)
+    # an operation given again under other names is composed once per measurement
+    with pytest.MonkeyPatch.context() as mp:
+        counts = count_measurements(mp)
+        again = Incarnation(ds, [*inc.ops, *((f"again{i}", g) for i, g in enumerate(inc.ops))])
+    assert counts["compose"] == len(ds) * len(inc.ops)
+    assert again == inc
+
+
+def test_act_refuses_an_operation_of_the_data_set_outside_the_incarnation(fixture_b):
+    ds, ops = fixture_b["dataset"], fixture_b["ops"]
+    inc = Incarnation(ds, [ops["g1"]])
+    phi1, phi2 = ds.by_name("phi1"), ds.by_name("phi2")
+    # g2 is an operation of the data set, and phi1 . g2 = phi2 lies in it
+    assert is_operation(ops["g2"], ds) and phi1.compose(ops["g2"]) == phi2
+    with pytest.raises(KeyError, match=re.escape("PointMap(g2) is not an operation of this incarnation")):
+        inc.act(phi1, ops["g2"])
+    assert inc.act(phi2, ops["g1"]) is phi2
 
 
 # ---------------------------------------------------------------------------

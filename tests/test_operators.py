@@ -16,6 +16,7 @@ from enriched_ph import (
     PointMap,
     Relation,
     ValueMap,
+    VerificationError,
     blocks,
     canonical_seo,
     change_units_apply,
@@ -239,6 +240,23 @@ def test_seo_realization_search_equals_brute_force(seo):
     if found is not None:
         assert (found.source, found.target) == (seo.target.dataset.domain, seo.source.dataset.domain)
         assert realizes(seo, found.mapping)
+
+
+def test_realization_search_names_a_changed_operation_map():
+    # alpha swaps the points; T(id) = g0 is not equivariant, but is set only after validation
+    dom = Domain(["x1", "x2"])
+    source = Incarnation(DataSet(dom, [("m0", [1, Fraction(-3, 2)])]), [PointMap.identity(dom)])
+    target = Incarnation(
+        DataSet(dom, [("m0", [Fraction(-3, 2), 1]), ("m1", [1, 1])]),
+        [PointMap.identity(dom), PointMap(dom, dom, {"x1": "x2", "x2": "x2"}, ("g0",))],
+    )
+    m0 = source.dataset.by_name("m0")
+    seo = validate_seo(source, target, {m0: target.dataset.by_name("m0")}, {source.ops[0]: target.op_by_name("id")})
+    assert seo.realization.mapping == {"x1": "x2", "x2": "x1"}
+    seo.operation_map[source.ops[0]] = target.op_by_name("g0")
+    with pytest.raises(VerificationError, match="x2 is not a candidate for x2") as info:
+        find_seo_realization(seo)
+    assert info.value.witness == ("x2", "x2")
 
 
 def test_find_all_realizations_counts():
@@ -660,3 +678,15 @@ def test_enumerate_geos_guards(fixture_b):
         enumerate_geos(split, split.dataset.by_name("a"), group, {})
     assert err.value.witness == (2,)
     assert str(err.value) == "source must be transitive"
+
+
+def test_enumerate_geos_checks_the_operation_map():
+    group = _swap_group(["x1", "x2"], [("a", [0, 1]), ("b", [1, 0])])
+    a, dom = group.dataset.by_name("a"), group.dataset.domain
+    with pytest.raises(ValueError, match="^operation map must send id to a target operation$"):
+        enumerate_geos(group, a, group, {})
+    constant = PointMap(dom, dom, {"x1": "x1", "x2": "x1"})
+    tmap = {g: g for g in group.ops}
+    tmap[group.op_by_name("swap")] = constant
+    with pytest.raises(ValueError, match="^operation map must send swap to a target operation$"):
+        enumerate_geos(group, a, group, tmap)
