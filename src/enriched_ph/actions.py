@@ -16,12 +16,13 @@ DEFAULT_ENUM_GUARD = 6
 
 
 def _action(g: PointMap, dataset: DataSet):
-    """(row, None) with row[phi] the stored phi . g, or (None, phi) for the first phi . g outside the set."""
+    """(row, None) with row[phi] the stored phi . g, found by value code, or (None, phi) for the first outside."""
     if g.source != dataset.domain or g.target != dataset.domain:
         raise DomainMismatch("operation must be an endomorphism of the data set domain")
-    row = {}
-    for m in dataset:
-        row[m] = dataset._by_values.get(m.compose(g))
+    img = tuple(map(dataset.domain.index, g.image_tuple()))
+    codes, row = dataset._codes, {}
+    for code, m in codes.items():
+        row[m] = codes.get(tuple(code[j] for j in img))
         if row[m] is None:
             return None, m
     return row, None
@@ -81,33 +82,37 @@ def _closure_violation(images):
     return None
 
 
-def _operations(dataset: DataSet, guard: int, bijective: bool) -> tuple:
-    """Every operation (every bijective one if asked), in lexicographic order
-    of point indices.  Points are assigned in domain order; a partial map is
-    dropped once some measurement composed with it is not a prefix of a
-    member, which never drops an operation g, since phi . g is a member.
+def _operations(dataset: DataSet, guard: int, bijective: bool) -> dict:
+    """Every operation (every bijective one if asked) by its image tuple of point
+    indices, in lexicographic order.  Points are assigned in domain order; a
+    partial map is dropped once some value code composed with it is not a
+    prefix of a member's, which never drops an operation g: phi . g is a member.
     """
     n = len(dataset.domain)
     if n > guard:
         raise GuardExceeded(f"|X|={n} exceeds enumeration guard {guard}")
-    vecs = [m.values for m in dataset]
-    prefixes = {v[:k] for v in vecs for k in range(n + 1)}
+    codes = dataset._codes
+    prefixes = {c[:k] for c in codes for k in range(n + 1)}
 
     def extend(images, heads):
         if len(images) == n:
             yield images
             return
         for j in range(n):
-            grown = [h + (v[j],) for h, v in zip(heads, vecs)]
+            grown = [h + (c[j],) for h, c in zip(heads, codes)]
             if not (bijective and j in images) and all(h in prefixes for h in grown):
                 yield from extend(images + (j,), grown)
 
-    found = list(extend((), [()] * len(vecs)))
+    found = list(extend((), [()] * len(codes)))
     pts, dom = dataset.domain.points, dataset.domain
-    ops = {img: PointMap(dom, dom, {p: pts[j] for p, j in zip(pts, img)}) for img in found}
-    if tuple(range(n)) not in ops:
-        raise VerificationError(PointMap.identity(dom), "the identity is not an operation")
-    bad = _closure_violation(found)
+    return {img: PointMap(dom, dom, {p: pts[j] for p, j in zip(pts, img)}) for img in found}
+
+
+def _certified(domain, ops) -> tuple:
+    """The search's operations, once they hold the identity and pass _closure_violation."""
+    if tuple(range(len(domain))) not in ops:
+        raise VerificationError(PointMap.identity(domain), "the identity is not an operation")
+    bad = _closure_violation(list(ops))
     if bad is not None:
         raise VerificationError(tuple(ops[g] for g in bad), "operation set not closed")
     return tuple(ops.values())
@@ -115,12 +120,12 @@ def _operations(dataset: DataSet, guard: int, bijective: bool) -> tuple:
 
 def enumerate_end(dataset: DataSet, guard: int = DEFAULT_ENUM_GUARD) -> OperationSet:
     """All operations of the data set, in lexicographic order of point indices."""
-    return OperationSet(dataset, _operations(dataset, guard, False))
+    return OperationSet(dataset, _certified(dataset.domain, _operations(dataset, guard, False)))
 
 
 def enumerate_aut(dataset: DataSet, guard: int = DEFAULT_ENUM_GUARD) -> OperationSet:
     """The invertible operations, a group, sorted by image tuple (point names)."""
-    ops = _operations(dataset, guard, True)
+    ops = _certified(dataset.domain, _operations(dataset, guard, True))
     return OperationSet(dataset, tuple(sorted(ops, key=lambda g: g.image_tuple())))
 
 
@@ -264,7 +269,11 @@ class Incarnation:
 
 
 def universal_incarnation(dataset: DataSet, guard: int = DEFAULT_ENUM_GUARD) -> Incarnation:
-    return Incarnation(dataset, enumerate_end(dataset, guard).ops)
+    ops = _operations(dataset, guard, False)
+    inc = Incarnation(dataset, ops.values())
+    if inc.kind not in ("monoid", "group"):  # the kind certifies the search; find the witness
+        _certified(dataset.domain, ops)
+    return inc
 
 
 def deformation_closure(omega, inc: Incarnation) -> tuple:

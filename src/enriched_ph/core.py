@@ -270,11 +270,14 @@ class DataSet:
     every bottleneck_lower call on this data set share that index.
 
     Measurements are looked up by the measurement itself, which keeps its
-    hash, so an equal value vector over another domain is not found.
+    hash, so an equal value vector over another domain is not found.  The
+    operation search and checks read _codes instead: each stored measurement
+    by its value code, the index of each value among the set's distinct
+    values in order of first appearance, equal exactly when the vectors are.
     """
 
     __slots__ = (
-        "domain", "measurements", "allow_empty", "_by_alias", "_by_values", "_metric", "_slices",
+        "domain", "measurements", "allow_empty", "_by_alias", "_by_values", "_codes", "_metric", "_slices",
     )
 
     def __init__(self, domain: Domain, measurements, allow_empty: bool = False):
@@ -295,6 +298,8 @@ class DataSet:
         self.measurements = tuple(final)
         self._by_alias = {a: m for m in final for a in m.aliases}
         self._by_values = {m: m for m in final}
+        index = {}
+        self._codes = {tuple(index.setdefault(v, len(index)) for v in m.values): m for m in final}
         self._metric = None
         self._slices = None
 

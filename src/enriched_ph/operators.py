@@ -142,13 +142,14 @@ class SEO:
 
 
 def _homomorphism_violation(source: Incarnation, target: Incarnation, tmap: dict):
-    """(identity,) when tmap does not keep the identity, else the first pair
-    (g, h) with T(g h) != T(g) T(h), else None.  Both endpoints are monoids."""
+    """A HypothesisViolation naming (identity,) when tmap does not keep the identity,
+    else the first pair (g, h) with T(g h) != T(g) T(h), else None.  Both endpoints are monoids."""
     ident = PointMap.identity(source.dataset.domain)
     if tmap[ident] != PointMap.identity(target.dataset.domain):
-        return (ident,)
+        return HypothesisViolation((ident,), "operation map does not preserve the identity")
     pairs = itertools.product(source.ops, repeat=2)
-    return next(((g, h) for g, h in pairs if tmap[g * h] != tmap[g] * tmap[h]), None)
+    bad = next(((g, h) for g, h in pairs if tmap[g * h] != tmap[g] * tmap[h]), None)
+    return None if bad is None else HypothesisViolation(bad, "operation map is not a homomorphism")
 
 
 def validate_seo(source: Incarnation, target: Incarnation, measurement_map, operation_map) -> SEO:
@@ -445,8 +446,7 @@ def extend_from_basis(
             )
         bad = _homomorphism_violation(source, target, tmap)
         if bad is not None:
-            what = "does not preserve the identity" if len(bad) == 1 else "is not a homomorphism"
-            raise HypothesisViolation(bad, f"operation map {what}")
+            raise bad
 
     if variant == "MEO":
         # well-definedness scan over single-step coincidences
@@ -463,6 +463,11 @@ def extend_from_basis(
                     Relation(omega, omega, (g,), ()), f"T({g.name}) does not fix the image of {omega.name}"
                 )
 
+    return _extension(source, target, basis, alpha_bar, tmap, variant)
+
+
+def _extension(source, target, basis, alpha_bar, tmap, variant) -> SEO:
+    """The construction of extend_from_basis, once the variant's hypotheses hold."""
     assign, conflict = _closure_pairs(source, target, alpha_bar, tmap)
     if conflict is not None:
         if variant == "SEO":
@@ -476,7 +481,7 @@ def extend_from_basis(
 def enumerate_geos(source: Incarnation, omega: Measurement, target: Incarnation, operation_map: dict) -> list:
     """All group operators out of a transitive group incarnation with a fixed
     homomorphism, one per target measurement whose isotropy contains the image
-    of the isotropy of omega."""
+    of the isotropy of omega; the hypotheses are checked once for all of them."""
     if source.kind != "group":
         raise HypothesisViolation((source.kind,), "source must be a group incarnation")
     if target.kind != "group":
@@ -485,8 +490,11 @@ def enumerate_geos(source: Incarnation, omega: Measurement, target: Incarnation,
         raise HypothesisViolation((len(blocks(source)),), "source must be transitive")
     omega = source.dataset.find(omega)
     tmap = _operation_map(source, target, operation_map)
+    bad = _homomorphism_violation(source, target, tmap)
+    if bad is not None:
+        raise bad
     return [
-        extend_from_basis(source, target, (omega,), {omega: psi}, tmap, variant="GEO")
+        _extension(source, target, (omega,), {omega: psi}, tmap, "GEO")
         for psi in target.dataset
         if _isotropy_violation(source, target, tmap, omega, psi) is None
     ]

@@ -2,7 +2,10 @@
 
 import collections
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -62,6 +65,19 @@ def fixture_c():
     right = DataSet(dom, [("neg", [-1, -1]), ("pos", [1, 1])])
     alpha = {left.by_name("one"): right.by_name("neg"), left.by_name("two"): right.by_name("pos")}
     return {"domain": dom, "left": left, "right": right, "alpha": alpha}
+
+
+# ---------------------------------------------------------------------------
+# checks that must hold without asserts
+
+
+def run_under_python_O(script: str) -> str:
+    """The standard output of a script run by python -O on this checkout's sources."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 # ---------------------------------------------------------------------------

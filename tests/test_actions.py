@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enriched_ph import actions
 from enriched_ph import (
     DataSet,
     Domain,
@@ -15,6 +16,7 @@ from enriched_ph import (
     Measurement,
     NotOperation,
     PointMap,
+    VerificationError,
     block_incarnation,
     blocks,
     build_graph,
@@ -41,6 +43,7 @@ from conftest import (
     random_permutation,
     random_point_map,
     random_transitive_group_incarnation,
+    run_under_python_O,
 )
 
 
@@ -157,6 +160,122 @@ def test_operation_violation_names_the_first_measurement_that_leaves(fixture_a):
     assert operation_violation(PointMap.identity(ds.domain), ds) is None
 
 
+# each value of the pool written four ways
+SPELLINGS = (
+    ("0", "-0", "0/5", "0.0"),
+    ("1/2", "0.5", "2/4", "0.50"),
+    ("-1/2", "-0.5", "-2/4", "-3/6"),
+    ("1", "2/2", "1.0", "3/3"),
+)
+
+
+@st.composite
+def spelled_datasets(draw):
+    """A data set on 1-4 points from up to 20 value vectors, closed under a
+    few random maps while it stays that small; every value is spelled one of
+    several ways, so a vector may come twice in two spellings."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.permutations(draw(st.sampled_from(NAME_SETS))[:n]))
+    vecs = draw(st.lists(st.tuples(*[st.integers(0, len(SPELLINGS) - 1)] * n), min_size=1, max_size=20))
+    images = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * n), max_size=2))
+    frontier = list(vecs)
+    while frontier and len(vecs) < 20:
+        cur = frontier.pop()
+        for img in images:
+            nxt = tuple(cur[j] for j in img)
+            if nxt not in vecs:
+                vecs.append(nxt)
+                frontier.append(nxt)
+    rows = [[draw(st.sampled_from(SPELLINGS[v])) for v in vec] for vec in vecs]
+    return DataSet(Domain(names), [(None, row) for row in rows])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(spelled_datasets())
+def test_value_codes_agree_with_the_oracles(ds):
+    assert list(ds._codes.values()) == list(ds)
+    end, aut = enumerate_end(ds).ops, enumerate_aut(ds).ops
+    assert list(end) == oracle_end(ds)
+    assert list(aut) == oracle_aut(ds)
+    uni = universal_incarnation(ds)
+    assert uni.kind == oracle_kind(end, ds.domain)
+    assert [(m, g, uni.act(m, g)) for m in ds for g in uni.ops] == oracle_edges(uni)
+
+
+def test_one_closure_verdict_per_operation_set(monkeypatch):
+    calls, closure_violation = [], actions._closure_violation
+
+    def counted(images):
+        calls.append(len(images))
+        return closure_violation(images)
+
+    monkeypatch.setattr(actions, "_closure_violation", counted)
+    ds = DataSet(Domain(["a", "b", "c", "d"]), [("f", [0, 0, 0, 0])])
+    for search, size in ((enumerate_end, 256), (enumerate_aut, 24), (universal_incarnation, 256)):
+        calls.clear()
+        search(ds)
+        assert calls == [size]
+
+
+def search_without(mp, image):
+    """Make the operation search drop the operation with one image tuple."""
+    search = actions._operations
+    mp.setattr(actions, "_operations", lambda *args: {k: g for k, g in search(*args).items() if k != image})
+
+
+CONSTANT = DataSet(Domain(["a", "b", "c"]), [("f", [0, 0, 0])])
+
+
+@pytest.mark.parametrize("search", [enumerate_end, enumerate_aut, universal_incarnation])
+def test_a_missing_composite_fails_the_certificate(monkeypatch, search):
+    search_without(monkeypatch, (1, 2, 0))
+    with pytest.raises(VerificationError, match="^operation set not closed$") as info:
+        search(CONSTANT)
+    x, y = info.value.witness
+    assert (x * y).image_tuple() == ("b", "c", "a")
+
+
+@pytest.mark.parametrize("search", [enumerate_end, enumerate_aut, universal_incarnation])
+def test_a_missing_identity_fails_the_certificate(monkeypatch, search):
+    search_without(monkeypatch, (0, 1, 2))
+    with pytest.raises(VerificationError, match="^the identity is not an operation$") as info:
+        search(CONSTANT)
+    assert info.value.witness == PointMap.identity(CONSTANT.domain)
+
+
+MISSING_COMPOSITE = """
+import enriched_ph.actions as actions
+from enriched_ph import DataSet, Domain, VerificationError, universal_incarnation
+
+search = actions._operations
+actions._operations = lambda *args: {k: g for k, g in search(*args).items() if k != (1, 2, 0)}
+try:
+    universal_incarnation(DataSet(Domain(["a", "b", "c"]), [("f", [0, 0, 0])]))
+except VerificationError as err:
+    x, y = err.witness
+    print((x * y).image_tuple(), err)
+"""
+
+
+def test_a_missing_composite_fails_the_certificate_under_python_O():
+    assert run_under_python_O(MISSING_COMPOSITE) == "('b', 'c', 'a') operation set not closed\n"
+
+
+def test_operations_are_checked_without_building_measurements(fixture_b):
+    for ds, ops in ((fixture_b["dataset"], fixture_b["ops"].values()), (two_orbit_group().dataset, ())):
+        with pytest.MonkeyPatch.context() as mp:
+            counts = count_measurements(mp)
+            inc = Incarnation(ds, ops)
+            for m in ds:
+                for g in inc.ops:
+                    inc.act(m, g)
+            inc.reach()
+            enumerate_end(ds)
+            enumerate_aut(ds)
+            universal_incarnation(ds)
+        assert counts == {"compose": 0, "built": 0}
+
+
 # ---------------------------------------------------------------------------
 # the action table
 
@@ -205,11 +324,19 @@ def test_action_table_equals_composing_afresh(seed):
         for m in ds:
             with pytest.raises(KeyError, match=re.escape(f"{g!r} is not an operation of this incarnation")):
                 inc.act(m, g)
-    # an operation given again under other names is composed once per measurement
+    # an operation given again under other names is acted out once, by value
+    # codes: no composite is built as a Measurement
     with pytest.MonkeyPatch.context() as mp:
         counts = count_measurements(mp)
+        counts["action"], action = 0, actions._action
+
+        def counted_action(g, dataset):
+            counts["action"] += 1
+            return action(g, dataset)
+
+        mp.setattr(actions, "_action", counted_action)
         again = Incarnation(ds, [*inc.ops, *((f"again{i}", g) for i, g in enumerate(inc.ops))])
-    assert counts["compose"] == len(ds) * len(inc.ops)
+    assert counts == {"compose": 0, "built": 0, "action": len(inc.ops)}
     assert again == inc
 
 

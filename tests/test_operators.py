@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from enriched_ph import operators
 from enriched_ph import (
     DataSet,
     Domain,
@@ -509,6 +510,25 @@ def test_enumerate_geos_matches_brute_force():
         assert {frozenset((k, v) for k, v in s.measurement_map.items()) for s in geos} == {
             frozenset(a.items()) for a in brute
         }
+
+
+def test_enumerate_geos_checks_the_homomorphism_once(monkeypatch):
+    inc = random_transitive_group_incarnation(random.Random(38))
+    omega = next(iter(inc.dataset))
+    calls, violation = [], operators._homomorphism_violation
+
+    def counted(source, target, tmap):
+        calls.append(tmap)
+        return violation(source, target, tmap)
+
+    monkeypatch.setattr(operators, "_homomorphism_violation", counted)
+    out = enumerate_geos(inc, omega, inc, {g: g for g in inc.ops})
+    assert len(out) == 4 and len(calls) == 1
+    # a constant operation map does not keep the identity, whatever isotropy says
+    g0 = next(g for g in inc.ops if g != PointMap.identity(inc.dataset.domain))
+    with pytest.raises(HypothesisViolation, match="^operation map does not preserve the identity$") as err:
+        enumerate_geos(inc, omega, inc, {g: g0 for g in inc.ops})
+    assert err.value.witness == (inc.op_by_name("id"),)
 
 
 # ---------------------------------------------------------------------------

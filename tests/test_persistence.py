@@ -59,6 +59,7 @@ from conftest import (
     oracle_slice_barcode,
     random_dataset,
     random_incarnation,
+    run_under_python_O,
 )
 
 F = Fraction
@@ -347,15 +348,6 @@ try:
 except VerificationError as exc:
     print(__debug__, exc.witness)
 """
-
-
-def run_under_python_O(script: str) -> str:
-    """The standard output of a script run by python -O on this checkout's sources."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def test_failing_square_raises_under_python_O():
