@@ -25,7 +25,7 @@ class ModMatrix:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int, p: int) -> "ModMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols, p)
+        return cls._reduced(((0,) * ncols,) * nrows, ncols, p)
 
     @classmethod
     def identity(cls, n: int, p: int) -> "ModMatrix":
@@ -111,8 +111,10 @@ class ColumnSolver:
     row (its pivot) holds 1, and pivots maps that row to the column's number.
     Rows below 0 are tags: never pivots, carried along by every reduction
     step.  A caller that needs relations tags its columns (column k with 1 at
-    row -1 - k, say): add returns the tags left on a dependent column, and
-    coords the negated tags left on a column in the span.
+    row -1 - k, say, through add's tag): add returns the tags left on a
+    dependent column, and coords the negated tags left on a column in the
+    span.  Columns may hold any integers; neither call changes the caller's
+    dict.
     """
 
     def __init__(self, p: int):
@@ -121,11 +123,15 @@ class ColumnSolver:
         self._stored = {}  # column number -> reduced column
         self.n_added = 0
 
-    def _reduce(self, col):
-        """(residue, low): col minus its components along the stored columns'
-        pivots, and the residue's lowest nonzero row (-1 if it is zero)."""
+    def _reduce(self, col, tag=None):
+        """(residue, low): col, with 1 at row tag if one is given, minus its
+        components along the stored columns' pivots, and the residue's lowest
+        nonzero row (-1 if it is zero).  The residue is the one copy of col
+        made; col itself is left as it is."""
         p = self.p
-        col = {i: v % p for i, v in col.items() if v % p}
+        col = {i: r for i, v in col.items() if (r := v % p)}
+        if tag is not None:
+            col[tag] = 1
         while col:
             low = max(col)
             j = self.pivots.get(low)
@@ -134,18 +140,23 @@ class ColumnSolver:
             _axpy(col, p - col[low], self._stored[j], p)
         return col, -1
 
-    def add(self, col):
-        """Store col and return None if it is independent of the columns
-        added before it.  Otherwise return the tags left on it: the tagged
-        columns' coefficients in a combination that vanishes on rows >= 0."""
-        col, low = self._reduce(col)
+    def add(self, col, tag=None):
+        """Store col, tagged with 1 at row tag if one is given, and return
+        None if it is independent of the columns added before it.  Otherwise
+        return the tags left on it: the tagged columns' coefficients in a
+        combination that vanishes on rows >= 0."""
+        col, low = self._reduce(col, tag)
         idx = self.n_added
         self.n_added += 1
         if low < 0:
             return col
-        inv = pow(col[low], self.p - 2, self.p)
+        p = self.p
+        inv = pow(col[low], p - 2, p)
+        if inv != 1:
+            for i, v in col.items():
+                col[i] = v * inv % p
         self.pivots[low] = idx
-        self._stored[idx] = {i: v * inv % self.p for i, v in col.items()}
+        self._stored[idx] = col
         return None
 
     def coords(self, col):
@@ -163,5 +174,5 @@ def kernel_basis(columns, p: int) -> list:
     otherwise only on earlier independent columns (the reduced row echelon
     basis).  Column j is tagged with row -1 - j."""
     solver = ColumnSolver(p)
-    rels = (solver.add({**col, -1 - j: 1}) for j, col in enumerate(columns))
+    rels = (solver.add(col, -1 - j) for j, col in enumerate(columns))
     return [{-1 - t: v for t, v in rel.items()} for rel in rels if rel is not None]

@@ -274,7 +274,7 @@ class HomologySpace:
         for simplex in cx.dim_simplices(degree + 1):
             solver.add(_boundary(simplex, cells, p))
         for z in kernel_basis([_boundary(s, faces, p) for s in cx.dim_simplices(degree)], p):
-            if solver.add({**z, -1 - len(reps): 1}) is None:  # representative k tagged -1 - k
+            if solver.add(z, -1 - len(reps)) is None:  # representative k tagged -1 - k
                 reps.append(z)
         self.dim = len(reps)
         self.representatives = tuple(reps)
@@ -349,17 +349,23 @@ def induced_map(src_space: HomologySpace, dst_space: HomologySpace, vmap) -> Mod
     vmap None means the inclusion of the source complex into the target
     complex.  It is checked by grade (_check_nested) instead of simplex by
     simplex, and it sends each simplex to the target simplex with the same
-    vertex tuple.  A vertex map goes through verify_simplicial and
-    chain_image."""
+    vertex tuple; the inclusion of a space into itself is the identity.  A
+    vertex map goes through verify_simplicial and chain_image.  Either map
+    is checked first, and with a zero-dimensional end it is the empty
+    matrix."""
     src, dst = src_space.complex, dst_space.complex
     k, p = src_space.degree, src_space.p
     if vmap is None:
         _check_nested(src, dst)
+        if src_space is dst_space:
+            return ModMatrix.identity(src_space.dim, p)
         level, ids = src.dim_simplices(k), dst._index.get(k, {})
         images = ({ids[level[j]]: c for j, c in rep.items()} for rep in src_space.representatives)
     else:
         verify_simplicial(src, dst, vmap)
         images = (chain_image(src, dst, vmap, rep, k, p) for rep in src_space.representatives)
+    if not (src_space.dim and dst_space.dim):
+        return ModMatrix.zeros(dst_space.dim, src_space.dim, p)
     return ModMatrix.from_columns([dst_space.coords_of(z) for z in images], dst_space.dim, p)
 
 
@@ -393,8 +399,16 @@ class PHEvaluator:
     every call.
 
     Composites (_paths) are keyed by three spaces (a, b, c): the inclusion
-    b -> c after a -> b.  interleave_upper reads every side of its triangles
-    and squares from it, so each path of maps is multiplied out once.
+    b -> c after a -> b.  Both legs are read through _map, so every
+    inclusion is checked; a path with a zero-dimensional end is the empty
+    matrix, one with an identity leg (a is b, or b is c) is the other leg,
+    and only the rest are multiplied out, once each.
+
+    interleave_upper keeps two more memos here: _rows, a vertex set's spaces
+    at every grid scale by (vertex tuple, degree), filled through homology;
+    and _checked, the diagram rows it has certified, by their vertex tuples
+    and degree.  A row enters _checked only after all its checks pass, and
+    no later call checks it again.
     """
 
     def __init__(self, dataset: DataSet, p: int = 2):
@@ -403,6 +417,8 @@ class PHEvaluator:
         self._hom = {}
         self._maps = {}
         self._paths = {}
+        self._rows = {}
+        self._checked = set()
 
     def homology(self, vertices, r, d) -> HomologySpace:
         vs, grades = frozenset(vertices), _grades(self.dataset)
@@ -426,8 +442,12 @@ class PHEvaluator:
         key = (a, b, c)
         mat = self._paths.get(key)
         if mat is None:
-            first = self._map(a, b)
-            mat = self._paths[key] = self._map(b, c) @ first
+            first, second = self._map(a, b), self._map(b, c)
+            if not (a.dim and c.dim):
+                mat = ModMatrix.zeros(c.dim, a.dim, self.p)
+            else:
+                mat = second if a is b else first if b is c else second @ first
+            self._paths[key] = mat
         return mat
 
     def inclusion_matrix(self, src_vertices, src_r, dst_vertices, dst_r, d) -> ModMatrix:
@@ -703,10 +723,14 @@ def interleave_upper(
     Failure of any check is an internal error: the inclusions always provide
     an epsilon-interleaving.
 
-    Each diagram is checked once.  "triangles" counts the distinct triangles
-    (A0, B1, A2) of each side at every scale.  "squares" counts the scale
-    squares of every level and side, shared shifts included, plus the
-    distinct level steps of each side at every scale.
+    Each diagram row (one diagram at every scale) is checked once per
+    evaluator, as PHEvaluator describes.  Within a row, a scale whose spaces
+    are all those of the scale before it would repeat that check, so it is
+    skipped and the first failing scale is still the witness.  The counts
+    do not depend on what was skipped.  "triangles" counts the distinct
+    triangles (A0, B1, A2) of each side at every scale.  "squares" counts
+    the scale squares of every level and side, shared shifts included, plus
+    the distinct level steps of each side at every scale.
     """
     _check_degree_and_prime(degree, p)
     phi, psi = dataset.find(phi), dataset.find(psi)
@@ -721,7 +745,6 @@ def interleave_upper(
     values = {m: [v * f for v in grades.numerators[m]] for m in (phi, psi)}
     e = eps.numerator * (den // eps.denominator)
     sv = sorted({min(values[phi]) - den, min(values[psi]) - den, *values[phi], *values[psi]})
-    rows = {}
 
     def sublevels(m):
         # sublevel(m, s + k * eps) as [k][index of s in sv]
@@ -729,17 +752,27 @@ def interleave_upper(
         return [subs[k * len(sv) : (k + 1) * len(sv)] for k in range(3)]
 
     def row(vertices):
-        spaces = rows.get(vertices)
+        key = (vertices, degree)
+        spaces = ev._rows.get(key)
         if spaces is None:
-            spaces = rows[vertices] = [ev.homology(vertices, r, degree) for r in rv]
+            spaces = ev._rows[key] = [ev.homology(vertices, r, degree) for r in rv]
         return spaces
+
+    def changes(*rows):
+        # (i, the spaces at scale index i) where they differ from those at i - 1:
+        # elsewhere a check would repeat the one just made
+        last = None
+        for i, spaces in enumerate(zip(*rows)):
+            if spaces != last:
+                yield i, spaces
+            last = spaces
 
     def nested(*pairs):
         for small, big in pairs:
             if not set(small) <= set(big):
                 raise VerificationError((small, big), f"sublevel {small!r} is not inside {big!r}")
 
-    incl, path = ev._map, ev._path
+    incl, path, checked = ev._map, ev._path, ev._checked
     at_phi, at_psi = sublevels(phi), sublevels(psi)
     sides = ((phi, at_phi, at_psi), (psi, at_psi, at_phi))
     # each diagram once, in order of first use
@@ -752,25 +785,31 @@ def interleave_upper(
         for j in range(len(sv) - 1)
         for a, sa, sb in sides
     )
+    # a row's key is its vertex tuples and the degree; the three kinds differ in length
     for A0, B1, A2, _ in tris:
+        if (A0, B1, A2, degree) in checked:
+            continue
         nested((A0, B1), (B1, A2))
-        a0, b1, a2 = row(A0), row(B1), row(A2)
-        for i in range(len(rv)):
-            if path(a0[i], b1[i], a2[i]) != incl(a0[i], a2[i]):
+        for i, (a0, b1, a2) in changes(row(A0), row(B1), row(A2)):
+            if path(a0, b1, a2) != incl(a0, a2):
                 raise VerificationError((A0, B1, A2, rv[i]), "interleaving triangle does not commute")
+        checked.add((A0, B1, A2, degree))
     for A0, B1 in shifts:
+        if (A0, B1, degree) in checked:
+            continue
         a0, b1 = row(A0), row(B1)
-        for i in range(len(rv) - 1):
-            if path(a0[i], b1[i], b1[i + 1]) != path(a0[i], a0[i + 1], b1[i + 1]):
-                witness = (A0, B1, rv[i], rv[i + 1])
-                raise VerificationError(witness, "shift maps not natural in the scale direction")
+        for i, (a, b, a_next, b_next) in changes(a0, b1, a0[1:], b1[1:]):
+            if path(a, b, b_next) != path(a, a_next, b_next):
+                raise VerificationError((A0, B1, rv[i], rv[i + 1]), "shift maps not natural in the scale direction")
+        checked.add((A0, B1, degree))
     for A0, A1, B0, B1, _ in steps:
+        if (A0, A1, B0, B1, degree) in checked:
+            continue
         nested((B0, B1), (A0, B0), (A1, B1), (A0, A1))
-        a0, a1, b0, b1 = row(A0), row(A1), row(B0), row(B1)
-        for i in range(len(rv)):
-            if path(a0[i], b0[i], b1[i]) != path(a0[i], a1[i], b1[i]):
-                witness = (A0, A1, B0, B1, rv[i])
-                raise VerificationError(witness, "shift maps not natural in the level direction")
+        for i, (a0, a1, b0, b1) in changes(row(A0), row(A1), row(B0), row(B1)):
+            if path(a0, b0, b1) != path(a0, a1, b1):
+                raise VerificationError((A0, A1, B0, B1, rv[i]), "shift maps not natural in the level direction")
+        checked.add((A0, A1, B0, B1, degree))
     triangles = len(rv) * len(tris)
     squares = 2 * len(sv) * (len(rv) - 1) + len(rv) * len(steps)
     return InterleavingResult(

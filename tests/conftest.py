@@ -367,15 +367,20 @@ def oracle_matching(left_count: int, adjacency) -> bool:
 # inclusion oracle: the inclusion as a vertex map, walked simplex by simplex
 
 
-def oracle_inclusion_map(src_space, dst_space) -> ModMatrix:
-    """The matrix of the inclusion of src_space's complex into dst_space's,
-    through verify_simplicial and chain_image with the identity vertex map."""
+def oracle_vertex_map(src_space, dst_space, vmap) -> ModMatrix:
+    """The matrix of a vertex map, through verify_simplicial and chain_image,
+    with coords_of on every representative whatever the dimensions."""
     src, dst = src_space.complex, dst_space.complex
-    ident = {v: v for v in src.points}
-    verify_simplicial(src, dst, ident)
+    verify_simplicial(src, dst, vmap)
     k, p = src_space.degree, src_space.p
-    cols = [dst_space.coords_of(chain_image(src, dst, ident, rep, k, p)) for rep in src_space.representatives]
+    cols = [dst_space.coords_of(chain_image(src, dst, vmap, rep, k, p)) for rep in src_space.representatives]
     return ModMatrix.from_columns(cols, dst_space.dim, p)
+
+
+def oracle_inclusion_map(src_space, dst_space) -> ModMatrix:
+    """The matrix of the inclusion of src_space's complex into dst_space's:
+    the identity vertex map, walked simplex by simplex."""
+    return oracle_vertex_map(src_space, dst_space, {v: v for v in src_space.complex.points})
 
 
 # ---------------------------------------------------------------------------

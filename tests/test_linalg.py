@@ -127,6 +127,27 @@ def test_tags_equal_the_history_restricted_to_tagged_columns(case, coeffs, data)
 
 @SETTINGS
 @given(matrices(), st.data())
+def test_columns_of_any_integers_are_read_and_left_as_they_are(case, data):
+    """add, coords and kernel_basis on unreduced columns equal the same calls
+    on their residues, and leave the caller's dicts unchanged."""
+    p, rows, ncols = case
+    cols = sparse_columns(rows, ncols)
+    given_cols = [dict(col) for col in cols]
+    residues = [{i: v % p for i, v in col.items() if v % p} for col in cols]
+    assert kernel_basis(cols, p) == kernel_basis(residues, p)
+    solver, oracle = ColumnSolver(p), ColumnSolver(p)
+    for j, (col, res) in enumerate(zip(cols, residues)):
+        tag = -1 - j if data.draw(st.booleans()) else None
+        assert solver.add(col, tag) == oracle.add(res if tag is None else {**res, tag: 1})
+    for col, res in zip(cols, residues):
+        assert solver.coords(col) == oracle.coords(res)
+    assert solver.pivots == oracle.pivots and solver._stored == oracle._stored
+    assert cols == given_cols
+    assert not any(stored is col for stored in solver._stored.values() for col in cols)
+
+
+@SETTINGS
+@given(matrices(), st.data())
 def test_product_equals_the_constructed_dense_product(case, data):
     p, rows, ncols = case
     a = ModMatrix(rows, ncols, p)

@@ -47,7 +47,7 @@ from enriched_ph import (
     universal_incarnation,
     vr_complex,
 )
-from enriched_ph.persistence import INF, _grades, _sublevels, check_prime
+from enriched_ph.persistence import INF, HomologySpace, _grade, _grades, _sublevels, check_prime
 from enriched_ph.linalg import ModMatrix
 from conftest import (
     HALF_LATTICE,
@@ -57,6 +57,7 @@ from conftest import (
     oracle_inclusion_map,
     oracle_interleave_upper,
     oracle_slice_barcode,
+    oracle_vertex_map,
     random_dataset,
     random_incarnation,
     run_under_python_O,
@@ -826,6 +827,22 @@ def test_interleave_of_a_measurement_with_itself_equals_the_walker(fixture_a, d)
             assert (res.upper, res.certificate) == (want.upper, want.certificate)
 
 
+@settings(max_examples=25, deadline=None, database=None)
+@given(interleave_cases())
+def test_interleave_on_one_shared_evaluator_equals_fresh_walkers(case):
+    # every pair and degree in turn on one evaluator, as a job runs them: rows
+    # checked by an earlier call are skipped, and the answers and maps stay the walker's
+    ds, _, _, _, p = case
+    ev, union = PHEvaluator(ds, p), set()
+    for (phi, psi), d in itertools.product(itertools.product(ds, repeat=2), (0, 1)):
+        oracle_ev = PHEvaluator(ds, p)
+        res = interleave_upper(ds, phi, psi, d, p, evaluator=ev)
+        want = oracle_interleave_upper(ds, phi, psi, d, p, evaluator=oracle_ev)
+        assert (res.upper, res.certificate) == (want.upper, want.certificate)
+        union |= maps_read(oracle_ev)
+    assert maps_read(ev) == union
+
+
 FULL = ("x1", "x2", "x3", "x4")
 
 
@@ -870,9 +887,11 @@ def test_interleave_names_the_first_failing_check(fixture_a, monkeypatch, chosen
     zero_inclusions(monkeypatch, chosen)
     both = fixture_a["both"]
     phi, psi = both.by_name("phi"), both.by_name("psi")
-    with pytest.raises(VerificationError, match=message) as info:
-        interleave_upper(both, phi, psi, 0, 2)
-    assert info.value.witness == witness
+    ev = PHEvaluator(both, 2)
+    for _ in range(2):  # a failed row is not certified, so a second call fails alike
+        with pytest.raises(VerificationError, match=message) as info:
+            interleave_upper(both, phi, psi, 0, 2, evaluator=ev)
+        assert info.value.witness == witness
     with pytest.raises(VerificationError) as oracle:
         oracle_interleave_upper(both, phi, psi, 0, 2)
     assert oracle.value.witness == witness
@@ -880,7 +899,7 @@ def test_interleave_names_the_first_failing_check(fixture_a, monkeypatch, chosen
 
 FAILING_LEVEL_SQUARE = """
 import enriched_ph.persistence as persistence
-from enriched_ph import DataSet, Domain, VerificationError, interleave_upper
+from enriched_ph import DataSet, Domain, PHEvaluator, VerificationError, interleave_upper
 from enriched_ph.linalg import ModMatrix
 
 real = persistence.induced_map
@@ -895,15 +914,18 @@ def induced(src, dst, vmap):
 
 persistence.induced_map = induced
 ds = DataSet(Domain(["x1", "x2", "x3", "x4"]), [("phi", ["-1", "0", "0", "1"]), ("psi", ["0", "1", "-1", "0"])])
-try:
-    interleave_upper(ds, ds.by_name("phi"), ds.by_name("psi"), 0, 2)
-except VerificationError as exc:
-    print(__debug__, len(exc.witness), exc.witness[-1])
+ev, witnesses = PHEvaluator(ds, 2), []
+for _ in range(2):
+    try:
+        interleave_upper(ds, ds.by_name("phi"), ds.by_name("psi"), 0, 2, evaluator=ev)
+    except VerificationError as exc:
+        witnesses.append(exc.witness)
+print(__debug__, len(witnesses[0]), witnesses[0][-1], witnesses[1] == witnesses[0])
 """
 
 
 def test_failing_level_square_raises_under_python_O():
-    assert run_under_python_O(FAILING_LEVEL_SQUARE).split() == ["False", "5", "0"]
+    assert run_under_python_O(FAILING_LEVEL_SQUARE).split() == ["False", "5", "0", "True"]
 
 
 # ---------------------------------------------------------------------------
@@ -1014,10 +1036,17 @@ def test_interleave_multiplies_each_path_of_maps_once(fixture_a, monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(ModMatrix, "__matmul__", counted)
-    ev = PHEvaluator(both, 2)
-    res = interleave_upper(both, both.by_name("phi"), both.by_name("psi"), 1, 2, evaluator=ev)
-    # one product per path, fewer than one per triangle and two per square
-    assert len(products) == len(ev._paths) < res.certificate["triangles"] + 2 * res.certificate["squares"]
+    made = []
+    for d in (0, 1):
+        products.clear()
+        ev = PHEvaluator(both, 2)
+        res = interleave_upper(both, both.by_name("phi"), both.by_name("psi"), d, 2, evaluator=ev)
+        # one product per path of two non-empty ends and no identity leg, fewer
+        # than one per triangle and two per square
+        multiplied = [(a, b, c) for a, b, c in ev._paths if a.dim and c.dim and a is not b and b is not c]
+        assert len(products) == len(multiplied) < res.certificate["triangles"] + 2 * res.certificate["squares"]
+        made.append(len(products))
+    assert made[0] > 0  # H_0 has such paths; H_1's maps here are all empty or identities
 
 
 def _inclusion_fault(src, dst):
@@ -1049,6 +1078,79 @@ def test_inclusion_refuses_grades_that_do_not_nest(fixture_a):
     assert induced_map(full, ev.homology(pts, F(2), 1), None) == oracle_inclusion_map(
         full, ev.homology(pts, F(2), 1)
     )
+
+
+def test_empty_and_identity_inclusions_equal_the_per_simplex_walk(fixture_a, monkeypatch):
+    # a zero-dimensional end gives the empty matrix and a space's inclusion into
+    # itself the identity, neither through coords_of
+    real, solved = HomologySpace.coords_of, []
+
+    def counted(space, chain):
+        solved.append(chain)
+        return real(space, chain)
+
+    monkeypatch.setattr(HomologySpace, "coords_of", counted)
+    rng = random.Random(94)
+    # fixture_a's square cycle, filled in at scale 2: a zero-dimensional target
+    ev = PHEvaluator(fixture_a["both"], 3)
+    pts = fixture_a["domain"].points
+    pairs = [(ev.homology(pts, F(1), 1), ev.homology(pts, F(2), 1))]
+    for _ in range(15):
+        ds = random_dataset(rng, max_points=6, max_meas=3)
+        ev, pts, grid = PHEvaluator(ds, rng.choice((2, 3))), ds.domain.points, scale_grid(ds)
+        for _ in range(20):
+            big = rng.sample(pts, rng.randint(0, len(pts)))
+            small = rng.sample(big, rng.randint(0, len(big)))
+            i = rng.randrange(len(grid))
+            j, d = rng.randrange(i, len(grid)), rng.choice((0, 1))
+            pairs.append((ev.homology(small, grid[i], d), ev.homology(big, grid[j], d)))
+    kinds = set()
+    for src, dst in pairs:
+        for a, b in ((src, dst), (src, src), (dst, dst)):
+            if a.dim and b.dim and a is not b:
+                continue
+            kinds.add("self" if a is b else "zero source" if not a.dim else "zero target")
+            solved.clear()
+            got = induced_map(a, b, None)
+            assert solved == []
+            assert got == oracle_inclusion_map(a, b) and got.shape == (b.dim, a.dim)
+            if a is b:
+                assert got == ModMatrix.identity(a.dim, a.p)
+    assert kinds == {"self", "zero source", "zero target"}
+
+
+def test_inclusions_and_vertex_maps_with_an_empty_end_are_still_checked(fixture_a):
+    both = fixture_a["both"]
+    ev = PHEvaluator(both, 2)
+    pts = both.domain.points
+    loop, filled, bare = ev.homology(pts, F(1), 1), ev.homology(pts, F(2), 1), ev.homology(pts, F(0), 1)
+    path = ev.homology(pts[:3], F(1), 1)
+    assert (loop.dim, filled.dim, bare.dim, path.dim) == (1, 0, 0, 0)
+    for src, dst, fault in (
+        (filled, loop, "a larger scale"),
+        (loop, path, "points outside the target"),
+        (bare, path, "points outside the target"),
+    ):
+        message = _inclusion_fault(src, dst)
+        assert fault in message and _grade(src.complex) in message and _grade(dst.complex) in message
+    # the edge (x1, x2) onto the missing diagonal (x1, x4)
+    with pytest.raises(SimplicialMapError, match="is not a simplex"):
+        induced_map(path, loop, {"x1": "x1", "x2": "x4", "x3": "x3"})
+
+
+def test_vertex_permutation_of_a_space_onto_itself_is_not_taken_for_the_identity(fixture_a):
+    # swapping x2 and x3 keeps phi and the metric and reverses the square cycle,
+    # so over F_3 ph_map sends a space to itself by -1 where the cycle lives
+    both = fixture_a["both"]
+    bp = ph_grid(both, both.by_name("phi"), 1, 3)
+    flip = PointMap(both.domain, both.domain, {"x1": "x1", "x2": "x3", "x3": "x2", "x4": "x4"})
+    grid = ph_map(bp, bp, flip)
+    reversed_cycle = 0
+    for row, mats in zip(bp.spaces, grid.mats):
+        for space, mat in zip(row, mats):
+            assert mat == oracle_vertex_map(space, space, {v: flip(v) for v in space.complex.points})
+            reversed_cycle += space.dim > 0 and mat == ModMatrix([[2]], 1, 3)
+    assert reversed_cycle > 0
 
 
 NOT_NESTED = """
