@@ -19,10 +19,9 @@ def _action(g: PointMap, dataset: DataSet):
     """(row, None) with row[phi] the stored phi . g, found by value code, or (None, phi) for the first outside."""
     if g.source != dataset.domain or g.target != dataset.domain:
         raise DomainMismatch("operation must be an endomorphism of the data set domain")
-    img = tuple(map(dataset.domain.index, g.image_tuple()))
     codes, row = dataset._codes, {}
     for code, m in codes.items():
-        row[m] = codes.get(tuple(code[j] for j in img))
+        row[m] = codes.get(tuple(code[j] for j in g.images))
         if row[m] is None:
             return None, m
     return row, None
@@ -193,8 +192,7 @@ class Incarnation:
         self._reach = None
 
     def _compute_kind(self) -> str:
-        index = self.dataset.domain.index
-        by_image = {tuple(index(q) for q in g.image_tuple()): g for g in self.ops}
+        by_image = {g.images: g for g in self.ops}
         has_id = tuple(range(len(self.dataset.domain))) in by_image
         bad = _closure_violation(list(by_image))
         if bad is not None and len(bad) == 1:

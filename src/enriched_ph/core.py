@@ -12,6 +12,7 @@ across threads.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,9 +136,10 @@ class Measurement:
 
 
 class PointMap:
-    """Total function between two domains."""
+    """Total function between two domains; images holds each source point's
+    image as its index in the target domain, and equality and hash read it."""
 
-    __slots__ = ("source", "target", "mapping", "aliases")
+    __slots__ = ("source", "target", "mapping", "images", "aliases")
 
     def __init__(self, source: Domain, target: Domain, mapping, aliases=()):
         self.source = source
@@ -151,6 +153,7 @@ class PointMap:
             if v not in target:
                 raise ValueError(f"image point {v!r} not in target domain")
         self.mapping = mp
+        self.images = tuple(target._index[mp[p]] for p in source.points)
         self.aliases = tuple(aliases)
 
     @classmethod
@@ -179,7 +182,7 @@ class PointMap:
 
     @property
     def is_bijective(self) -> bool:
-        return len(set(self.mapping.values())) == len(self.source) == len(self.target)
+        return len(set(self.images)) == len(self.source) == len(self.target)
 
     def inverse(self) -> "PointMap":
         if not self.is_bijective:
@@ -194,11 +197,11 @@ class PointMap:
             isinstance(other, PointMap)
             and self.source == other.source
             and self.target == other.target
-            and self.mapping == other.mapping
+            and self.images == other.images
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.image_tuple()))
+        return hash((self.source, self.target, self.images))
 
     def __repr__(self):
         return f"PointMap({self.name})"
@@ -260,9 +263,12 @@ class PseudometricMatrix:
 class DataSet:
     """Deduplicated finite set of measurements over one domain.
 
-    Measurements are stored in canonical order (lexicographic on value
-    vectors); this order is what every enumeration in the package iterates in.
-    Empty data sets are rejected unless allow_empty is set.
+    A measurement's code is its values as integer numerators over the
+    denominator, the lcm of all the values' denominators (1 without values).
+    Deduplication, naming and the canonical order (lexicographic on value
+    vectors, which every enumeration in the package iterates in) go by
+    codes, and _codes maps each code to its stored measurement in that
+    order.  Empty data sets are rejected unless allow_empty is set.
 
     A data set never changes after it is built, so it keeps what is derived
     from it: the pseudometric, and (_slices) the persistence index that
@@ -271,13 +277,11 @@ class DataSet:
 
     Measurements are looked up by the measurement itself, which keeps its
     hash, so an equal value vector over another domain is not found.  The
-    operation search and checks read _codes instead: each stored measurement
-    by its value code, the index of each value among the set's distinct
-    values in order of first appearance, equal exactly when the vectors are.
+    operation search and checks read _codes instead.
     """
 
     __slots__ = (
-        "domain", "measurements", "allow_empty", "_by_alias", "_by_values", "_codes", "_metric", "_slices",
+        "domain", "measurements", "allow_empty", "denominator", "_by_alias", "_by_values", "_codes", "_metric", "_slices",
     )
 
     def __init__(self, domain: Domain, measurements, allow_empty: bool = False):
@@ -290,16 +294,17 @@ class DataSet:
                 m = Measurement(domain, values, (name,) if name else ())
             if m.domain != domain:
                 raise DomainMismatch("measurement domain differs from data set domain")
-            found.append((m.values, m.aliases))
+            found.append(m)
         if not found and not self.allow_empty:
             raise ValueError("empty data set (pass allow_empty=True to permit)")
-        named = _name(found, "m", "value vectors")
-        final = [Measurement(domain, vals, aliases) for vals, aliases in named]
-        self.measurements = tuple(final)
-        self._by_alias = {a: m for m in final for a in m.aliases}
-        self._by_values = {m: m for m in final}
-        index = {}
-        self._codes = {tuple(index.setdefault(v, len(index)) for v in m.values): m for m in final}
+        den = self.denominator = math.lcm(*(v.denominator for m in found for v in m.values))
+        codes = [tuple(v.numerator * (den // v.denominator) for v in m.values) for m in found]
+        values = dict(zip(codes, (m.values for m in found)))
+        named = _name(zip(codes, (m.aliases for m in found)), "m", "value vectors")
+        self._codes = {code: Measurement(domain, values[code], aliases) for code, aliases in named}
+        self.measurements = tuple(self._codes.values())
+        self._by_alias = {a: m for m in self.measurements for a in m.aliases}
+        self._by_values = {m: m for m in self.measurements}
         self._metric = None
         self._slices = None
 
@@ -333,16 +338,12 @@ class DataSet:
     def pseudometric(self) -> PseudometricMatrix:
         """Max over measurements of coordinatewise differences; zero matrix if empty."""
         if self._metric is None:
-            pts = self.domain.points
-            vecs = [m.values for m in self.measurements]
+            n, den = len(self.domain), self.denominator
             rows = [
-                [
-                    max((abs(v[i] - v[j]) for v in vecs), default=Fraction(0))
-                    for j in range(len(pts))
-                ]
-                for i in range(len(pts))
+                [Fraction(max((abs(c[i] - c[j]) for c in self._codes), default=0), den) for j in range(n)]
+                for i in range(n)
             ]
-            self._metric = PseudometricMatrix(pts, rows)
+            self._metric = PseudometricMatrix(self.domain.points, rows)
         return self._metric
 
     def __eq__(self, other):
@@ -373,17 +374,18 @@ class DataSet:
     def from_json_dict(cls, data: dict) -> "DataSet":
         """Read to_json_dict's shape; the domain and each value vector must be
         lists, so a string is not split into characters, each domain entry a
-        string or a number, and allow_empty a boolean."""
+        string or a number, each measurement name non-empty, and allow_empty
+        a boolean."""
         points = _json_list(_json_field(data, "domain"), "domain")
         for p in points:
             if isinstance(p, (list, dict, bool)) or p is None:
                 raise TypeError(
                     f"domain entries must be strings or numbers, not {type(p).__name__}"
                 )
-        ms = [
-            (name, _json_list(vals, f"measurement {name!r}"))
-            for name, vals in _json_object(data.get("measurements", {}), "measurements").items()
-        ]
+        ms = _json_object(data.get("measurements", {}), "measurements")
+        if "" in ms:  # the constructor would read it as no name
+            raise ValueError("a measurement name is empty")
+        ms = [(name, _json_list(vals, f"measurement {name!r}")) for name, vals in ms.items()]
         allow_empty = data.get("allow_empty", False)
         if not isinstance(allow_empty, bool):
             raise TypeError(f"allow_empty must be a JSON boolean, not {type(allow_empty).__name__}")

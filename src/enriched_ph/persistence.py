@@ -167,11 +167,11 @@ class _Grades:
     scales is the scale grid, index maps each grid scale to its place in it,
     pair[x][y] is the index of the distance between the points x and y, and
     metric is the distance function.  Each measurement m takes the value
-    numerators[m][k] / denominator at the k-th domain point, so values and
-    their differences compare as integers.  The memos fill on use: the
-    whole-domain VR complexes by (scale index, cap), each vertex set's
-    sorted distance indices (pairs), and the slice barcodes that
-    bottleneck_lower shares, by (measurement, degree, p, scale index).
+    numerators[m][k] / denominator at the k-th domain point, the data set's
+    codes, so values and their differences compare as integers.  The memos
+    fill on use: the whole-domain VR complexes by (scale index, cap), each
+    vertex set's sorted distance indices (pairs), and the slice barcodes
+    that bottleneck_lower shares, by (measurement, degree, p, scale index).
     """
 
     __slots__ = ("scales", "index", "pair", "metric", "denominator", "numerators", "complexes", "pairs", "barcodes")
@@ -182,8 +182,7 @@ class _Grades:
         index = self.index = {r: i for i, r in enumerate(self.scales)}
         pts, self.metric = metric.points, metric.at
         self.pair = {x: dict(zip(pts, (index[v] for v in row))) for x, row in zip(pts, metric.rows)}
-        den = self.denominator = math.lcm(*(v.denominator for m in dataset for v in m.values))
-        self.numerators = {m: tuple(v.numerator * (den // v.denominator) for v in m.values) for m in dataset}
+        self.denominator, self.numerators = dataset.denominator, {m: c for c, m in dataset._codes.items()}
         self.complexes, self.pairs, self.barcodes = {}, {}, {}
 
     def scale_index(self, r) -> int:
@@ -389,9 +388,9 @@ class PHEvaluator:
     and graded by the canonical grid scale, so a complex is built once per
     scale, not once per vertex set, and every complex carries its grade.
 
-    Induced matrices (_maps) are keyed by (source space, target space, image
-    tuple of the vertex map, or None for an inclusion).  The target space
-    may belong to another evaluator, as in ph_map between two data sets.
+    Induced matrices (_maps) are keyed by (source space, target space, vertex
+    map, or None for an inclusion).  The target space may belong to another
+    evaluator, as in ph_map between two data sets.
     The library reads this memo only by space, through _map: ph_grid,
     interleave_upper and superlevel_duality_check look each space up once
     through homology and pair the spaces they hold.  inclusion_matrix is the
@@ -431,7 +430,7 @@ class PHEvaluator:
         return space
 
     def _map(self, src: HomologySpace, dst: HomologySpace, g: PointMap = None) -> ModMatrix:
-        key = (src, dst, None if g is None else g.image_tuple())
+        key = (src, dst, g)
         mat = self._maps.get(key)
         if mat is None:
             vmap = None if g is None else {v: g(v) for v in src.complex.points}
@@ -655,6 +654,9 @@ def ph_map(source_bp: BigradedPersistence, target_bp: BigradedPersistence, reali
     if (source_bp.degree, source_bp.p) != (target_bp.degree, target_bp.p):
         s, t = source_bp, target_bp
         raise ValueError(f"the source persistence is H_{s.degree} over F_{s.p}, the target H_{t.degree} over F_{t.p}")
+    for end, bp in (("source", source_bp), ("target", target_bp)):
+        if getattr(realization, end) != bp.dataset.domain:
+            raise ValueError(f"the realization's {end} domain is not the {end} persistence's")
     ev = source_bp.evaluator
     mats = [
         [ev.vertexmap_matrix(src, dst, realization) for src, dst in zip(src_row, dst_row)]
@@ -738,11 +740,9 @@ def interleave_upper(
     eps = sup_distance(phi, psi)
     grades = _grades(dataset)
     rv = grades.scales
-    # the level grid and its shifts s + k * eps as integer numerators over
-    # one denominator den, which the values' and eps's denominators divide
-    f = eps.denominator // math.gcd(grades.denominator, eps.denominator)
-    den = grades.denominator * f
-    values = {m: [v * f for v in grades.numerators[m]] for m in (phi, psi)}
+    # the level grid and its shifts s + k * eps as integer numerators over the
+    # data set's denominator, which eps's divides: eps is a difference of values
+    den, values = grades.denominator, grades.numerators
     e = eps.numerator * (den // eps.denominator)
     sv = sorted({min(values[phi]) - den, min(values[psi]) - den, *values[phi], *values[psi]})
 

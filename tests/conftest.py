@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from enriched_ph import DataSet, Domain, Incarnation, PointMap, VerificationError
-from enriched_ph.core import format_rational, sup_distance
+from enriched_ph.core import _name, format_rational, parse_rational, sup_distance
 from enriched_ph.linalg import ModMatrix
 from enriched_ph.persistence import (
     INF,
@@ -155,6 +155,29 @@ def random_transitive_group_incarnation(rng: random.Random, max_points=5):
         inc = Incarnation(ds, group)
         if inc.kind == "group":
             return inc
+
+
+# ---------------------------------------------------------------------------
+# encoding oracle: a data set read with Fractions only
+
+
+def oracle_reading(points, measurements) -> dict:
+    """What a data set of (name, values) pairs holds, read with Fractions
+    only: the value vectors deduplicated as Fraction tuples and named by
+    _name in their sorted order, and the pseudometric as the largest
+    difference of Fractions, with its scale grid."""
+    found = [(tuple(map(parse_rational, vals)), (name,) if name else ()) for name, vals in measurements]
+    named = _name(found, "m", "value vectors")
+    vecs, n = [vals for vals, _ in named], len(points)
+    rows = tuple(
+        tuple(max((abs(v[i] - v[j]) for v in vecs), default=Fraction(0)) for j in range(n)) for i in range(n)
+    )
+    return {
+        "names": tuple(aliases[0] for _, aliases in named),
+        "values": tuple(vecs),
+        "rows": rows,
+        "scales": tuple(sorted({Fraction(0), *(d for row in rows for d in row)})),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -704,3 +704,17 @@ def test_numeric_domain_entries_are_still_points(files, capsys):
     path = write("num.json", {"domain": [1, 2.5], "measurements": {"f": ["0", "1"]}})
     assert main(["metric", path]) == 0
     assert capsys.readouterr().out.splitlines()[0] == ",1,2.5"
+
+
+def test_empty_measurement_name_exit_2(files, capsys):
+    # the constructor reads "" as no name; in a file it would be renamed m0 unseen
+    _, write = files
+    data = {"domain": ["a", "b"], "measurements": {"": ["0", "1"], "g": ["1", "0"]}}
+    ds, inc = write("empty.json", data), write("inc.json", {"dataset": data, "M": {}})
+    for argv, what in (
+        (["metric", ds], f"data set {ds}"),
+        (["ph", ds, "-m", ""], f"data set {ds}"),
+        (["analyze", inc], f"incarnation {inc}"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: bad {what}: a measurement name is empty\n"

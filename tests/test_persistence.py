@@ -1498,3 +1498,20 @@ def test_ph_functor_odd_characteristic(fixture_b):
     assert functor.verify(lambda a, b: a * b)
     for arrow in functor.arrows.values():
         assert arrow.is_natural()
+
+
+def test_ph_map_refuses_a_realization_between_other_domains(fixture_b):
+    # f: Y -> X carries the image persistence on Y to that of the preimage on X
+    xs, ys, sx = Domain(["a", "b", "c"]), Domain(["u", "v", "w"]), Domain(["b", "a", "c"])
+    on_x, on_y = DataSet(xs, [("f", ["0", "1", "3"])]), DataSet(ys, [("f", ["0", "1", "3"])])
+    bp_x, bp_y = ph_grid(on_x, on_x.by_name("f"), 0, 2), ph_grid(on_y, on_y.by_name("f"), 0, 2)
+    f = PointMap(ys, xs, {"u": "a", "v": "b", "w": "c"})
+    assert ph_map(bp_y, bp_x, f).is_natural()
+    for realization, end in (
+        (PointMap.identity(xs), "source"),
+        (PointMap.identity(ys), "target"),
+        (PointMap(ys, sx, {"u": "a", "v": "b", "w": "c"}), "target"),
+    ):
+        with pytest.raises(ValueError, match=f"the realization's {end} domain is not the {end} persistence's"):
+            ph_map(bp_y, bp_x, realization)
+    assert ph_functor(fixture_b["incarnation"], 0, 2).verify(lambda a, b: a * b)
