@@ -7,7 +7,11 @@ column (row index -> nonzero residue) per pivot, as in the standard
 persistence algorithm (Zomorodian and Carlsson, "Computing Persistent
 Homology", 2005).  Callers that need relations tag their columns with
 identity entries on negative rows and read them off the tags a reduction
-leaves, as in reducing [D; I] (Edelsbrunner and Harer, 2010).
+leaves, as in reducing [D; I] (Edelsbrunner and Harer, 2010).  Edges go by
+components instead where they can: persistence reads degree 0, the rank of
+the edge boundaries and the pairing of the edges in a filtration from a
+union-find over the vertices, so what is eliminated here is the columns of
+dimension 2 and up and the kernel bases of non-zero spaces in degree >= 1.
 """
 
 

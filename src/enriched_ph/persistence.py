@@ -78,15 +78,17 @@ class SimplicialComplex:
     distance function (metric) it was built with, beside the dimension cap.
     It holds every simplex on its points up to the cap whose pairwise
     distances stay within the scale; a complex without a grade has scale
-    and metric None.
+    and metric None.  A complex cut from a persistence index also knows its
+    scale's index on the index's grid, so nesting compares integers.
     """
 
-    __slots__ = ("points", "simplices", "dim_cap", "scale", "metric", "_index", "_vertex_pos")
+    __slots__ = ("points", "simplices", "dim_cap", "scale", "metric", "_grid_index", "_index", "_vertex_pos")
 
     def __init__(self, points, simplices, dim_cap, scale=None, metric=None):
         self.points = tuple(points)
         self.dim_cap = dim_cap
         self.scale, self.metric = scale, metric
+        self._grid_index = None  # the scale's index on its persistence index's grid, if cut from one
         self._vertex_pos = {p: i for i, p in enumerate(self.points)}
         self.simplices = {k: tuple(v) for k, v in simplices.items()}
         self._index = {
@@ -143,7 +145,9 @@ def _cut(whole: SimplicialComplex, vertices: frozenset) -> SimplicialComplex:
         if kept:
             simplices[k] = kept
     points = tuple(p for p in whole.points if p in vertices)
-    return SimplicialComplex(points, simplices, whole.dim_cap, whole.scale, whole.metric)
+    cx = SimplicialComplex(points, simplices, whole.dim_cap, whole.scale, whole.metric)
+    cx._grid_index = whole._grid_index
+    return cx
 
 
 def sublevel(measurement: Measurement, s) -> tuple:
@@ -214,7 +218,7 @@ class _Grades:
         if cx is None:
             # pair's keys are the domain's points, in order; graded before it is shared
             cx = vr_complex(pair, lambda x, y: pair[x][y], i, dim_cap)
-            cx.scale, cx.metric = self.scales[i], self.metric
+            cx.scale, cx.metric, cx._grid_index = self.scales[i], self.metric, i
             self.complexes[key] = cx
         return cx
 
@@ -248,6 +252,33 @@ def _boundary(simplex, index, p: int) -> dict:
     return {index[simplex[:i] + simplex[i + 1 :]]: (-1) ** i % p for i in range(len(simplex))}
 
 
+def _components(n: int, edges) -> tuple:
+    """Union-find on the vertices 0 .. n - 1, joined by the edges (vertex
+    pairs) in order, each component rooted at its oldest (least) vertex.
+    Returns each vertex's root, and for each edge the root it kills by the
+    elder rule: the younger of the two roots it joins, or -1 if its ends
+    were joined already (the edge closes a cycle)."""
+    parent = list(range(n))
+    kills = []
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            kills.append(-1)
+        else:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            kills.append(b)
+    # every vertex's parent is older than it, so its root is already known
+    roots = []
+    for v, u in enumerate(parent):
+        roots.append(v if u == v else roots[u])
+    return roots, kills
+
+
 class HomologySpace:
     """Exact homology in one degree with representative cycles.
 
@@ -255,9 +286,18 @@ class HomologySpace:
     degree-d simplices: the first kernel basis vectors, in order, that are
     independent modulo boundaries.  coords_of expresses any cycle in the
     representative basis modulo boundaries.
+
+    Degree 0 is read from the components of the edges (_components): the
+    representatives are the first vertex of each component, in the order
+    of the vertices, and a chain's class sums its coefficients on each
+    component.  In degree 1, rank d_1 is the number of vertices less the
+    number of components, so when the cycles are as many as the stored
+    rank of d_2 the space is zero and no kernel basis is built.  Either
+    way these are the representatives and coordinates that reducing the
+    kernel basis would give.
     """
 
-    __slots__ = ("complex", "degree", "p", "dim", "representatives", "_solver")
+    __slots__ = ("complex", "degree", "p", "dim", "representatives", "_solver", "_component")
 
     def __init__(self, cx: SimplicialComplex, degree: int, p: int):
         if cx.dim_cap < degree + 1:
@@ -267,20 +307,40 @@ class HomologySpace:
         self.complex = cx
         self.degree = degree
         self.p = p
-        faces, cells = cx._index.get(degree - 1, {}), cx._index.get(degree, {})
-        solver = ColumnSolver(p)
-        reps = []
-        for simplex in cx.dim_simplices(degree + 1):
-            solver.add(_boundary(simplex, cells, p))
-        for z in kernel_basis([_boundary(s, faces, p) for s in cx.dim_simplices(degree)], p):
-            if solver.add(z, -1 - len(reps)) is None:  # representative k tagged -1 - k
-                reps.append(z)
+        self._solver = self._component = None
+        if degree <= 1:
+            vertex = cx._index.get(0, {})
+            roots, kills = _components(len(vertex), [(vertex[e[:1]], vertex[e[1:]]) for e in cx.dim_simplices(1)])
+        if degree == 0:
+            firsts = {}  # each component's first vertex -> its number
+            self._component = [firsts.setdefault(root, len(firsts)) for root in roots]
+            reps = [{v: 1} for v in firsts]
+        else:
+            faces, cells = cx._index.get(degree - 1, {}), cx._index.get(degree, {})
+            solver = ColumnSolver(p)
+            reps = []
+            for simplex in cx.dim_simplices(degree + 1):
+                solver.add(_boundary(simplex, cells, p))
+            # in degree 1 the cycles number edges - rank d_1 = edges - (vertices -
+            # components): the edges that kill no root
+            if degree > 1 or kills.count(-1) > len(solver.pivots):
+                for z in kernel_basis([_boundary(s, faces, p) for s in cx.dim_simplices(degree)], p):
+                    if solver.add(z, -1 - len(reps)) is None:  # representative k tagged -1 - k
+                        reps.append(z)
+            self._solver = solver
         self.dim = len(reps)
         self.representatives = tuple(reps)
-        self._solver = solver
 
     def coords_of(self, chain) -> tuple:
         """Class of a cycle in the representative basis; raises on non-cycles."""
+        component = self._component
+        if component is not None:  # degree 0: the sum on each component
+            sums = [0] * self.dim
+            for j, v in chain.items():
+                if not 0 <= j < len(component):
+                    raise ValueError("chain is not a cycle modulo the stored boundaries")
+                sums[component[j]] += v
+            return tuple(v % self.p for v in sums)
         combo = self._solver.coords(chain)
         if combo is None:
             raise ValueError("chain is not a cycle modulo the stored boundaries")
@@ -291,6 +351,9 @@ class HomologySpace:
 
 
 def homology(cx: SimplicialComplex, degree: int, p: int) -> HomologySpace:
+    """H_degree of the complex over F_p; a negative degree or a modulus that
+    is not prime is a ValueError."""
+    _check_degree_and_prime(degree, p)
     return HomologySpace(cx, degree, p)
 
 
@@ -325,14 +388,19 @@ def verify_simplicial(src: SimplicialComplex, dst: SimplicialComplex, vmap) -> N
 def _check_nested(src: SimplicialComplex, dst: SimplicialComplex) -> None:
     """The inclusion src -> dst is simplicial, and keeps every vertex tuple,
     when the grades nest: one metric, one dimension cap, a scale no larger,
-    and src's points among dst's in dst's order."""
+    and src's points among dst's in dst's order.  Two complexes cut from a
+    persistence index compare their scales' grid indices."""
     pos = dst._vertex_pos
     order = [pos.get(v, -1) for v in src.points]
     if src.metric is None or src.metric != dst.metric:
         fault = "another metric"
     elif src.dim_cap != dst.dim_cap:
         fault = "another dimension cap"
-    elif src.scale is not dst.scale and src.scale > dst.scale:  # cut complexes share their scale
+    elif src.scale is not dst.scale and (
+        src.scale > dst.scale
+        if src._grid_index is None or dst._grid_index is None
+        else src._grid_index > dst._grid_index  # one metric, so one grid
+    ):
         fault = "a larger scale"
     elif -1 in order or order != sorted(order):
         fault = "points outside the target or out of its order"
@@ -829,7 +897,12 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
     creator with the simplex that kills it.  The complex is the persistence
     index's whole-domain complex at the grid scale at or below r, shared by
     every measurement.  Simplices are sorted by the integer numerators of
-    their values; births and deaths become Fractions only in the result."""
+    their values; births and deaths become Fractions only in the result.
+
+    The edge columns are paired by the elder rule (_components): an edge
+    that joins two components kills the younger root, which is the pivot
+    its reduced column would have.  Columns of dimension 2 and up reduce
+    only against each other, and go through ColumnSolver."""
     _check_degree_and_prime(degree, p)
     m = dataset.find(m)
     grades = _grades(dataset)
@@ -839,15 +912,20 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
         (max(value[v] for v in s), k, s) for k, level in cx.simplices.items() for s in level
     )
     pos = {s: j for j, (_, _, s) in enumerate(simplices)}
+    edges = [(j, s) for j, (_, k, s) in enumerate(simplices) if k == 1]
+    higher = [j for j, (_, k, _) in enumerate(simplices) if k > 1]
+    _, kills = _components(len(simplices), [(pos[s[:1]], pos[s[1:]]) for _, s in edges])
+    pivots = {v: j for (j, _), v in zip(edges, kills) if v >= 0}  # pivot row -> the simplex it pairs with
     solver = ColumnSolver(p)
-    for _, _, s in simplices:
-        solver.add(_boundary(s, pos, p))
-    killers = set(solver.pivots.values())
+    for j in higher:
+        solver.add(_boundary(simplices[j][2], pos, p))
+    pivots.update((row, higher[c]) for row, c in solver.pivots.items())
+    killers = set(pivots.values())
     bars = []
     for j, (birth, k, _) in enumerate(simplices):
         if k != degree or j in killers:
             continue  # not a creator in this degree
-        death = simplices[solver.pivots[j]][0] if j in solver.pivots else INF
+        death = simplices[pivots[j]][0] if j in pivots else INF
         if death != birth:
             bars.append((birth, death))
     bars.sort()  # by birth, then death, INF after every finite death

@@ -12,7 +12,7 @@ import pytest
 
 from enriched_ph import DataSet, Domain, Incarnation, PointMap, VerificationError
 from enriched_ph.core import _name, format_rational, parse_rational, sup_distance
-from enriched_ph.linalg import ModMatrix
+from enriched_ph.linalg import ColumnSolver, ModMatrix, kernel_basis
 from enriched_ph.persistence import (
     INF,
     InterleavingResult,
@@ -367,6 +367,40 @@ def oracle_homology_dim(vertices, dist, r, d: int, p: int) -> int:
     rank_down = oracle_rank(bd, p) if s_low else 0
     rank_up = oracle_rank(bd_up, p) if s_high else 0
     return len(s_mid) - rank_down - rank_up
+
+
+class OracleHomologySpace:
+    """A homology space built the same way in every degree: the boundaries
+    of the degree-(d + 1) simplices go into a ColumnSolver, then each vector
+    of kernel_basis of d_d that stays independent of them and of the earlier
+    ones becomes a representative.  The oracle for HomologySpace's degree 0
+    by components and its H_1 = 0 test; induced_map reads it as it reads a
+    HomologySpace."""
+
+    def __init__(self, cx, degree: int, p: int):
+        self.complex, self.degree, self.p = cx, degree, p
+        faces, cells = cx._index.get(degree - 1, {}), cx._index.get(degree, {})
+
+        def boundary(simplex, index):
+            if len(simplex) == 1:
+                return {}
+            return {index[simplex[:i] + simplex[i + 1 :]]: (-1) ** i % p for i in range(len(simplex))}
+
+        self._solver = ColumnSolver(p)
+        reps = []
+        for simplex in cx.dim_simplices(degree + 1):
+            self._solver.add(boundary(simplex, cells))
+        for z in kernel_basis([boundary(s, faces) for s in cx.dim_simplices(degree)], p):
+            if self._solver.add(z, -1 - len(reps)) is None:
+                reps.append(z)
+        self.dim = len(reps)
+        self.representatives = tuple(reps)
+
+    def coords_of(self, chain) -> tuple:
+        combo = self._solver.coords(chain)
+        if combo is None:
+            raise ValueError("chain is not a cycle modulo the stored boundaries")
+        return tuple(combo.get(-1 - k, 0) for k in range(self.dim))
 
 
 def oracle_matching(left_count: int, adjacency) -> bool:
