@@ -27,35 +27,40 @@ class NotOperation(ValueError):
         super().__init__(message or f"{op!r} does not preserve {measurement!r}")
 
 
-class EquivarianceError(ValueError):
+class WitnessedError(Exception):
+    """An error that carries its witness; without a message, the class's
+    default one names the witness in place of {!r}."""
+
+    default = "{!r}"
+
+    def __init__(self, witness, message=None):
+        self.witness = witness
+        super().__init__(message or self.default.format(witness))
+
+
+class EquivarianceError(WitnessedError, ValueError):
     """An operator pair violates equivariance; witness is (measurement, op)."""
 
-    def __init__(self, witness, message=None):
-        self.witness = witness
-        super().__init__(message or f"equivariance fails at {witness!r}")
+    default = "equivariance fails at {!r}"
 
 
-class HypothesisViolation(ValueError):
+class HypothesisViolation(WitnessedError, ValueError):
     """An extension hypothesis fails; witness identifies the bad coincidence."""
 
-    def __init__(self, witness, message=None):
-        self.witness = witness
-        super().__init__(message or f"extension hypothesis fails: {witness!r}")
+    default = "extension hypothesis fails: {!r}"
 
 
-class NotInvariant(ValueError):
+class NotInvariant(WitnessedError, ValueError):
     """A vertex subset is not closed under the acting operations."""
 
-    def __init__(self, witness, message=None):
-        self.witness = witness
-        super().__init__(message or f"subset not invariant: {witness!r}")
+    default = "subset not invariant: {!r}"
 
 
 class SimplicialMapError(ValueError):
     """A vertex map does not send simplices to simplices."""
 
 
-class VerificationError(AssertionError):
+class VerificationError(WitnessedError, AssertionError):
     """An internal certificate fails; witness names where.
 
     The certificates are commuting grid squares, functoriality over composite
@@ -63,6 +68,4 @@ class VerificationError(AssertionError):
     explicitly, so they still run under python -O.
     """
 
-    def __init__(self, witness, message=None):
-        self.witness = witness
-        super().__init__(message or f"verification fails at {witness!r}")
+    default = "verification fails at {!r}"

@@ -231,15 +231,12 @@ class GraphFunctor:
             if e not in self.arrows:
                 raise ValueError(f"missing arrow for edge {e!r}")
 
-    def arrow(self, edge):
-        return self.arrows[edge]
-
     def violation(self, mul):
         """First chained pair of edges (e0, e1) breaking functoriality, or None.
 
         Functoriality is checked over designated composites: for chained
         edges e0, e1 whose composite color mul(g0, g1) is again a color, the
-        composite edge's arrow equals arrow(e0) @ arrow(e1)."""
+        composite edge's arrow equals arrows[e0] @ arrows[e1]."""
         colors = set(self.graph.colors)
         for (a, g0, b) in self.graph.edges:
             for (b2, g1, c) in self.graph.edges:
@@ -284,7 +281,7 @@ def verify_natural_transformation(src_functor: GraphFunctor, dst_functor: GraphF
     """Square-by-square check of an edge-indexed family src => dst.
 
     components[v]: src(v) -> dst(v); for every edge (v0, g, v1) the square
-    components[v0] @ src.arrow = dst.arrow @ components[v1] must commute.
+    components[v0] @ src.arrows[e] = dst.arrows[e] @ components[v1] must commute.
     """
     if src_functor.graph != dst_functor.graph:
         return False

@@ -17,6 +17,7 @@ dimension 2 and up and the kernel bases of non-zero spaces in degree >= 1.
 
 class ModMatrix:
     __slots__ = ("p", "nrows", "ncols", "rows")
+    _zeros = {}  # (nrows, ncols, p) -> the zero matrix of that shape
 
     def __init__(self, rows, ncols: int, p: int):
         self.p = p
@@ -29,7 +30,11 @@ class ModMatrix:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int, p: int) -> "ModMatrix":
-        return cls._reduced(((0,) * ncols,) * nrows, ncols, p)
+        """One zero matrix per shape: it is immutable, so it serves every caller."""
+        mat = cls._zeros.get((nrows, ncols, p))
+        if mat is None:
+            mat = cls._zeros[nrows, ncols, p] = cls._reduced(((0,) * ncols,) * nrows, ncols, p)
+        return mat
 
     @classmethod
     def identity(cls, n: int, p: int) -> "ModMatrix":

@@ -173,12 +173,12 @@ class _Grades:
     metric is the distance function.  Each measurement m takes the value
     numerators[m][k] / denominator at the k-th domain point, the data set's
     codes, so values and their differences compare as integers.  The memos
-    fill on use: the whole-domain VR complexes by (scale index, cap), each
-    vertex set's sorted distance indices (pairs), and the slice barcodes
-    that bottleneck_lower shares, by (measurement, degree, p, scale index).
+    fill on use: the whole-domain VR complexes by (scale index, cap), which
+    every evaluator's rows are cut from, and the slice barcodes that
+    bottleneck_lower shares, by (measurement, degree, p, scale index).
     """
 
-    __slots__ = ("scales", "index", "pair", "metric", "denominator", "numerators", "complexes", "pairs", "barcodes")
+    __slots__ = ("scales", "index", "pair", "metric", "denominator", "numerators", "complexes", "barcodes")
 
     def __init__(self, dataset: DataSet):
         metric = dataset.pseudometric()
@@ -187,7 +187,7 @@ class _Grades:
         pts, self.metric = metric.points, metric.at
         self.pair = {x: dict(zip(pts, (index[v] for v in row))) for x, row in zip(pts, metric.rows)}
         self.denominator, self.numerators = dataset.denominator, {m: c for c, m in dataset._codes.items()}
-        self.complexes, self.pairs, self.barcodes = {}, {}, {}
+        self.complexes, self.barcodes = {}, {}
 
     def scale_index(self, r) -> int:
         """Index of the largest grid scale <= r: the VR complex of every
@@ -198,17 +198,6 @@ class _Grades:
                 raise ValueError("scale parameter must be nonnegative")
             i = bisect.bisect_right(self.scales, r) - 1
         return i
-
-    def canonical_index(self, vs: frozenset, r) -> int:
-        """The least scale index whose VR complex on vs is the one at r."""
-        pairs = self.pairs.get(vs)
-        if pairs is None:
-            unknown = vs.difference(self.pair)
-            if unknown:
-                raise ValueError(f"points not in the domain: {sorted(unknown, key=str)!r}")
-            pairs = self.pairs[vs] = sorted({self.pair[x][y] for x, y in itertools.combinations(vs, 2)})
-        k = bisect.bisect_right(pairs, self.scale_index(r))
-        return pairs[k - 1] if k else 0
 
     def whole(self, i: int, dim_cap) -> SimplicialComplex:
         """The VR complex on the whole domain at the i-th grid scale, built by
@@ -444,58 +433,64 @@ class PHEvaluator:
     """Caching engine for one data set over F_p; what depends on the data
     set alone is read from its persistence index.
 
-    Homology spaces (_hom) are keyed by (vertex set, canonical scale index,
-    degree), the vertex set in any order.  The VR complex on a vertex set V
-    changes only at the distances among V's points, so the canonical index
-    of r, the largest index of such a distance at most r's index on the
-    scale grid (or 0), is the least index whose complex on V is the one at
-    r: ev.homology(V, 1, 1) is ev.homology(V, 3/2, 1) when no two points of
-    V lie at a distance in (1, 3/2].  It never decreases as V or r grows,
-    so inclusions still nest.  A space's complex is cut from the index's
-    whole-domain VR complex at (canonical index, degree + 1), in its order
-    and graded by the canonical grid scale, so a complex is built once per
-    scale, not once per vertex set, and every complex carries its grade.
+    Homology spaces live in rows (_rows), one per (vertex set, degree), the
+    vertex set in any order: its space at every index of the scale grid.
+    The VR complex on V changes only at the distances among V's points, so
+    the row builds a space at index 0 and at the index of each such
+    distance, and shares it up to the next: ev.homology(V, 1, 1) is
+    ev.homology(V, 3/2, 1) when no two points of V lie at a distance in
+    (1, 3/2].  That index never decreases as V or r grows, so inclusions
+    nest.  A space's complex is cut from the index's whole-domain VR complex
+    at (its index, degree + 1), in its order and graded by its grid scale,
+    so a complex is built once per scale, not once per vertex set.
+    homology(V, r, d) is the entry of V's row at r's grid index, as is each
+    end of inclusion_matrix; the library reads whole rows.
 
     Induced matrices (_maps) are keyed by (source space, target space, vertex
-    map, or None for an inclusion).  The target space may belong to another
-    evaluator, as in ph_map between two data sets.
-    The library reads this memo only by space, through _map: ph_grid,
-    interleave_upper and superlevel_duality_check look each space up once
-    through homology and pair the spaces they hold.  inclusion_matrix is the
-    public lookup by value; it resolves both spaces through homology on
-    every call.
+    map, or None for an inclusion); the target space may belong to another
+    evaluator, as in ph_map between two data sets.  Composites (_paths) are
+    keyed by three spaces (a, b, c): the inclusion b -> c after a -> b.
+    Both legs are read through _map, so every inclusion is checked; a path
+    with a zero-dimensional end is the empty matrix, one with an identity
+    leg (a is b, or b is c) is the other leg, and only the rest are
+    multiplied out, once each.
 
-    Composites (_paths) are keyed by three spaces (a, b, c): the inclusion
-    b -> c after a -> b.  Both legs are read through _map, so every
-    inclusion is checked; a path with a zero-dimensional end is the empty
-    matrix, one with an identity leg (a is b, or b is c) is the other leg,
-    and only the rest are multiplied out, once each.
-
-    interleave_upper keeps two more memos here: _rows, a vertex set's spaces
-    at every grid scale by (vertex tuple, degree), filled through homology;
-    and _checked, the diagram rows it has certified, by their vertex tuples
-    and degree.  A row enters _checked only after all its checks pass, and
-    no later call checks it again.
+    interleave_upper keeps _checked here: the diagram rows it has certified,
+    by their vertex tuples and degree.  A row enters _checked only after all
+    its checks pass, and no later call checks it again.
     """
 
     def __init__(self, dataset: DataSet, p: int = 2):
         self.dataset = dataset
         self.p = check_prime(p)
-        self._hom = {}
+        self._rows = {}
         self._maps = {}
         self._paths = {}
-        self._rows = {}
         self._checked = set()
 
     def homology(self, vertices, r, d) -> HomologySpace:
-        vs, grades = frozenset(vertices), _grades(self.dataset)
-        key = (vs, grades.canonical_index(vs, r), d)
-        space = self._hom.get(key)
-        if space is None:
+        i = _grades(self.dataset).scale_index(r)  # first, so a bad scale builds nothing
+        return self._row(vertices, d)[i]
+
+    def _row(self, vertices, d) -> tuple:
+        """The vertex set's spaces in degree d at every grid scale."""
+        key = (frozenset(vertices), d)
+        row = self._rows.get(key)
+        if row is None:
+            vs, grades = key[0], _grades(self.dataset)
+            unknown = vs.difference(grades.pair)
+            if unknown:
+                raise ValueError(f"points not in the domain: {sorted(unknown, key=str)!r}")
             if d < 0:
                 raise ValueError(f"homology degree {d} is negative")
-            space = self._hom[key] = HomologySpace(_cut(grades.whole(key[1], d + 1), vs), d, self.p)
-        return space
+            steps = {0, *(grades.pair[x][y] for x, y in itertools.combinations(vs, 2))}
+            row = []
+            for i in range(len(grades.scales)):
+                if i in steps:
+                    space = HomologySpace(_cut(grades.whole(i, d + 1), vs), d, self.p)
+                row.append(space)
+            row = self._rows[key] = tuple(row)
+        return row
 
     def _map(self, src: HomologySpace, dst: HomologySpace, g: PointMap = None) -> ModMatrix:
         key = (src, dst, g)
@@ -615,9 +610,12 @@ class BigradedPersistence:
 
 
 def _persistence(ev, dataset, m, degree, p, grid, vertex_sets) -> BigradedPersistence:
-    """Homology at every grid corner, on vertex_sets[j] at level j, with each
-    right and up map read from the evaluator's memo by its pair of spaces."""
-    spaces = [[ev.homology(vs, r, degree) for vs in vertex_sets] for r in grid.r_values]
+    """Homology at every grid corner, on vertex_sets[j] at level j, read from
+    one row per level set, with each right and up map read from the
+    evaluator's memo by its pair of spaces."""
+    at = [_grades(dataset).scale_index(r) for r in grid.r_values]
+    rows = [ev._row(vs, degree) for vs in vertex_sets]
+    spaces = [[row[i] for row in rows] for i in at]
     right = [[ev._map(a, b) for a, b in zip(row, nxt)] for row, nxt in zip(spaces, spaces[1:])]
     up = [[ev._map(a, b) for a, b in zip(row, row[1:])] for row in spaces]
     return BigradedPersistence(dataset, m, degree, p, grid, spaces, right, up, ev)
@@ -708,9 +706,6 @@ class GridMap:
                 if self.target.up[i][j] @ self.mats[i][j] != self.mats[i][j + 1] @ self.source.up[i][j]:
                     return False
         return True
-
-    def ranks(self):
-        return [[m.rank() for m in row] for row in self.mats]
 
 
 def ph_map(source_bp: BigradedPersistence, target_bp: BigradedPersistence, realization: PointMap) -> GridMap:
@@ -819,13 +814,6 @@ def interleave_upper(
         subs = _sublevels(m.domain.points, values[m], [s + k * e for k in range(3) for s in sv])
         return [subs[k * len(sv) : (k + 1) * len(sv)] for k in range(3)]
 
-    def row(vertices):
-        key = (vertices, degree)
-        spaces = ev._rows.get(key)
-        if spaces is None:
-            spaces = ev._rows[key] = [ev.homology(vertices, r, degree) for r in rv]
-        return spaces
-
     def changes(*rows):
         # (i, the spaces at scale index i) where they differ from those at i - 1:
         # elsewhere a check would repeat the one just made
@@ -840,7 +828,7 @@ def interleave_upper(
             if not set(small) <= set(big):
                 raise VerificationError((small, big), f"sublevel {small!r} is not inside {big!r}")
 
-    incl, path, checked = ev._map, ev._path, ev._checked
+    incl, path, row, checked = ev._map, ev._path, ev._row, ev._checked
     at_phi, at_psi = sublevels(phi), sublevels(psi)
     sides = ((phi, at_phi, at_psi), (psi, at_psi, at_phi))
     # each diagram once, in order of first use
@@ -858,14 +846,14 @@ def interleave_upper(
         if (A0, B1, A2, degree) in checked:
             continue
         nested((A0, B1), (B1, A2))
-        for i, (a0, b1, a2) in changes(row(A0), row(B1), row(A2)):
+        for i, (a0, b1, a2) in changes(row(A0, degree), row(B1, degree), row(A2, degree)):
             if path(a0, b1, a2) != incl(a0, a2):
                 raise VerificationError((A0, B1, A2, rv[i]), "interleaving triangle does not commute")
         checked.add((A0, B1, A2, degree))
     for A0, B1 in shifts:
         if (A0, B1, degree) in checked:
             continue
-        a0, b1 = row(A0), row(B1)
+        a0, b1 = row(A0, degree), row(B1, degree)
         for i, (a, b, a_next, b_next) in changes(a0, b1, a0[1:], b1[1:]):
             if path(a, b, b_next) != path(a, a_next, b_next):
                 raise VerificationError((A0, B1, rv[i], rv[i + 1]), "shift maps not natural in the scale direction")
@@ -874,7 +862,7 @@ def interleave_upper(
         if (A0, A1, B0, B1, degree) in checked:
             continue
         nested((B0, B1), (A0, B0), (A1, B1), (A0, A1))
-        for i, (a0, a1, b0, b1) in changes(row(A0), row(A1), row(B0), row(B1)):
+        for i, (a0, a1, b0, b1) in changes(row(A0, degree), row(A1, degree), row(B0, degree), row(B1, degree)):
             if path(a0, b0, b1) != path(a0, a1, b1):
                 raise VerificationError((A0, A1, B0, B1, rv[i]), "shift maps not natural in the level direction")
         checked.add((A0, A1, B0, B1, degree))

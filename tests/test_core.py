@@ -15,10 +15,14 @@ from enriched_ph import (
     DataSet,
     Domain,
     DomainMismatch,
+    EquivarianceError,
+    HypothesisViolation,
     Measurement,
+    NotInvariant,
     PointMap,
     ValueMap,
     ValueMapMiss,
+    VerificationError,
     change_units,
     copair,
     coproduct,
@@ -505,3 +509,20 @@ def test_value_map_json_table_must_be_an_object():
         ValueMap.from_json_dict({"table": [["1", "-1"]]})
     # Python callers may still pass pairs
     assert ValueMap.from_table([("1", "-1")])(1) == -1
+
+
+@pytest.mark.parametrize(
+    "cls, base, default",
+    [
+        (EquivarianceError, ValueError, "equivariance fails at ('phi', 'g')"),
+        (HypothesisViolation, ValueError, "extension hypothesis fails: ('phi', 'g')"),
+        (NotInvariant, ValueError, "subset not invariant: ('phi', 'g')"),
+        (VerificationError, AssertionError, "verification fails at ('phi', 'g')"),
+    ],
+)
+def test_witnessed_errors_keep_their_bases_witness_and_messages(cls, base, default):
+    err = cls(("phi", "g"))
+    assert isinstance(err, base) and err.witness == ("phi", "g")
+    assert str(err) == default
+    given_message = cls(("phi", "g"), "a {!r} message with braces")
+    assert str(given_message) == "a {!r} message with braces" and given_message.witness == ("phi", "g")

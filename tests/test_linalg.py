@@ -173,3 +173,14 @@ def test_homology_dims_match_oracle_at_odd_primes(seed, p):
                 for d in (0, 1, 2):
                     ours = homology(vr_complex(pts, metric.at, r, d + 1), d, p).dim
                     assert ours == oracle_homology_dim(pts, metric.at, r, d, p)
+
+
+@SETTINGS
+@given(st.sampled_from(PRIMES), st.integers(0, 6), st.integers(0, 6))
+def test_zeros_is_one_matrix_per_shape(p, nrows, ncols):
+    zero = ModMatrix.zeros(nrows, ncols, p)
+    assert zero is ModMatrix.zeros(nrows, ncols, p)
+    assert zero == ModMatrix([[0] * ncols] * nrows, ncols, p)
+    assert zero.shape == (nrows, ncols) and zero.p == p
+    assert ModMatrix.zeros(nrows + 1, ncols, p) is not zero
+    assert ModMatrix.zeros(nrows, ncols, p + 1 if p == 2 else 2) is not zero

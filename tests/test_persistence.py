@@ -616,8 +616,10 @@ def _assert_grid_maps_are_fresh_inclusions(ds, m, bp):
 
 
 def test_ph_grid_looks_each_space_up_once_and_maps_by_space(fixture_a, monkeypatch):
+    # one row per level set, read once; no cell goes through homology or inclusion_matrix
     both = fixture_a["both"]
-    calls = {"homology": 0, "inclusion_matrix": 0}
+    phi = both.by_name("phi")
+    calls = {"homology": 0, "inclusion_matrix": 0, "_row": 0}
     for name in calls:
         real = getattr(PHEvaluator, name)
 
@@ -626,8 +628,12 @@ def test_ph_grid_looks_each_space_up_once_and_maps_by_space(fixture_a, monkeypat
             return _real(self, *args)
 
         monkeypatch.setattr(PHEvaluator, name, counted)
-    bp = ph_grid(both, both.by_name("phi"), 1, 2)
-    assert calls == {"homology": len(bp.grid.r_values) * len(bp.grid.s_values), "inclusion_matrix": 0}
+    ev = PHEvaluator(both, 2)
+    bp = ph_grid(both, phi, 1, 2, evaluator=ev)
+    assert calls == {"homology": 0, "inclusion_matrix": 0, "_row": len(bp.grid.s_values)}
+    grades = _grades(both)
+    for (i, r), (j, s) in itertools.product(enumerate(bp.grid.r_values), enumerate(bp.grid.s_values)):
+        assert bp.spaces[i][j] is ev._rows[(frozenset(sublevel(phi, s)), 1)][grades.scale_index(r)]
 
 
 def test_homology_shares_a_space_between_scales_exactly_when_their_complexes_agree(fixture_a):
@@ -654,7 +660,7 @@ def test_homology_at_the_edge_scales(fixture_a):
         grid = scale_grid(ds)
         with pytest.raises(ValueError, match="scale parameter must be nonnegative"):
             ev.homology(pts, F(-1, 2), 1)
-        assert ev._hom == {}
+        assert ev._rows == {}
         for d in (0, 1):
             above = ev.homology(pts, grid[-1] + 1, d)
             assert above is ev.homology(pts, grid[-1], d)
@@ -672,7 +678,7 @@ def test_homology_rejects_unknown_points_and_negative_degrees(fixture_a):
         ev.homology({"zz", "x1"}, F(1), 0)
     with pytest.raises(ValueError, match="degree -1 is negative"):
         ev.homology({"x1"}, F(1), -1)
-    assert ev._hom == {}
+    assert ev._rows == {}
 
 
 @pytest.mark.parametrize(
@@ -689,7 +695,7 @@ def test_grids_must_increase_and_scales_be_nonnegative(fixture_a, fixture_b, kwa
     ev = PHEvaluator(both, 2)
     with pytest.raises(ValueError, match=message):
         ph_grid(both, both.by_name("phi"), 0, 2, evaluator=ev, **kwargs)
-    assert ev._hom == {}  # rejected before any space was built
+    assert ev._rows == {}  # rejected before any space was built
     with pytest.raises(ValueError, match=message):
         ph_functor(fixture_b["incarnation"], 0, 2, **kwargs)
 
@@ -706,7 +712,7 @@ def test_evaluators_and_persistences_of_another_data_set_prime_or_degree_are_ref
             ph_grid(both, phi, 1, 3, evaluator=ev)
         with pytest.raises(ValueError, match=message):
             interleave_upper(both, phi, psi, 1, 3, evaluator=ev)
-        assert ev._hom == {}
+        assert ev._rows == {}
     # an evaluator on an equal data set serves it
     twin = DataSet(dom, [("phi", ["-1", "0", "0", "1"]), ("psi", ["0", "1", "-1", "0"])])
     assert ph_grid(both, phi, 0, 3, evaluator=PHEvaluator(twin, 3)) == ph_grid(both, phi, 0, 3)
@@ -800,8 +806,12 @@ def sevenths_cases(draw):
 
 
 def maps_read(ev):
-    """Every (vertex set, scale, degree) pair the evaluator computed a map between."""
-    key_of = {space: key for key, space in ev._hom.items()}
+    """Every pair of (vertex set, grid index the space was built at, degree)
+    the evaluator computed a map between."""
+    key_of = {}
+    for (vs, d), row in ev._rows.items():
+        for i, space in enumerate(row):
+            key_of.setdefault(space, (vs, i, d))
     return {(key_of[src], key_of[dst]) for src, dst, _ in ev._maps}
 
 
@@ -1004,8 +1014,43 @@ def test_evaluator_builds_one_complex_per_scale(monkeypatch):
     # each whole complex is built once per grid index and cap, from integer distance indices
     assert sorted(built) == [(i, 2) for i in range(len(scale_grid(ds)))]
     assert all(type(i) is int for i, _ in built)
-    assert len(ev._hom) > len(built)
+    assert len({space for row in ev._rows.values() for space in row}) > len(built)
     assert scale_grid(ds) is scale_grid(ds)
+
+
+@st.composite
+def row_cases(draw):
+    """(data set, vertex sets, degree, p): 2-6 points, 1-4 random vertex sets."""
+    ds = draw(interleave_cases())[0]
+    subsets = draw(st.lists(st.lists(st.sampled_from(ds.domain.points), unique=True), min_size=1, max_size=4))
+    return ds, subsets, draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from([2, 3]))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(row_cases())
+def test_a_row_holds_a_space_at_every_scale_and_changes_only_at_its_distances(case):
+    ds, subsets, d, p = case
+    ev, metric, grades, pts = PHEvaluator(ds, p), ds.pseudometric(), _grades(ds), ds.domain.points
+    grid = scale_grid(ds)
+    with pytest.raises(ValueError, match="points not in the domain"):
+        ev.homology([*subsets[0], "zz"], grid[-1], d)
+    with pytest.raises(ValueError, match="degree -1 is negative"):
+        ev.homology(subsets[0], grid[-1], -1)
+    with pytest.raises(ValueError, match="scale parameter must be nonnegative"):
+        ev.homology(subsets[0], F(-1, 2), d)
+    assert ev._rows == {}  # no refusal builds a row
+    off_grid = [(a + b) / 2 for a, b in zip(grid, grid[1:])] + [grid[-1] + 1]
+    for vs, r in itertools.product(subsets, (*grid, *off_grid)):
+        assert ev.homology(vs[::-1], r, d) is ev._rows[(frozenset(vs), d)][grades.scale_index(r)]
+    assert len(ev._rows) == len({frozenset(vs) for vs in subsets})
+    for (vs, degree), row in ev._rows.items():
+        assert degree == d and len(row) == len(grid)
+        distances = {metric.at(x, y) for x, y in itertools.combinations(vs, 2)}
+        points = [x for x in pts if x in vs]
+        for i, space in enumerate(row):
+            assert space.dim == oracle_homology_dim(points, metric.at, grid[i], d, p)
+            if i:
+                assert (space is row[i - 1]) == (grid[i] not in distances), (vs, i)
 
 
 @settings(max_examples=60, deadline=None, database=None)
