@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .core import DataSet, Measurement, PointMap, _json_field, _json_object, _name
 from .errors import DomainMismatch, GuardExceeded, NotOperation, VerificationError
+from .linalg import _components
 
 DEFAULT_ENUM_GUARD = 6
 
@@ -302,26 +303,19 @@ class Partition:
 
 
 def blocks(inc: Incarnation) -> Partition:
-    """Connected components of the symmetrized reachability relation."""
-    parent = {m: m for m in inc.dataset}
+    """Connected components of the symmetrized reachability relation.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in inc.dataset:
-        for g in inc.ops:
-            a, b = find(m), find(inc.act(m, g))
-            if a != b:
-                parent[a] = b
+    The measurements are in the canonical order and each component is
+    rooted at its least member (_components), so every block lists its
+    members in that order and the blocks come in the order of their first
+    members."""
+    ms = inc.dataset.measurements
+    pos = {m: k for k, m in enumerate(ms)}
+    roots, _ = _components(len(ms), [(k, pos[inc.act(m, g)]) for k, m in enumerate(ms) for g in inc.ops])
     groups: dict = {}
-    for m in inc.dataset:
-        groups.setdefault(find(m), []).append(m)
-    out = [tuple(sorted(g, key=lambda m: m.values)) for g in groups.values()]
-    out.sort(key=lambda b: b[0].values)
-    return Partition(tuple(out))
+    for m, root in zip(ms, roots):
+        groups.setdefault(root, []).append(m)
+    return Partition(tuple(tuple(g) for g in groups.values()))
 
 
 def indistinguishable(phi: Measurement, psi: Measurement, inc: Incarnation) -> bool:

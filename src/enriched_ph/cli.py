@@ -120,21 +120,23 @@ def _load_dataset_or_incarnation(path):
     return _parse(Incarnation if "M" in data or "dataset" in data else DataSet, data, path)
 
 
-def _emit(payload, path=None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text, path):
+    """The one writer: text to the file at path, or to stdout without one.
+    _emit and _write_text both end here rather than in each other, so a
+    traced run (bench/tracing.py) still sees each output as one write."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, path=None):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
 def _write_text(text, path=None):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, path)
 
 
 def cmd_metric(args) -> int:
@@ -227,15 +229,21 @@ def cmd_interleave(args) -> int:
     return EXIT_OK
 
 
+def _operator_maps(data, source, target, alpha_field):
+    """The measurement map in the field alpha_field and the operation map T,
+    from one incarnation's names to the other's."""
+    alpha = {
+        source.dataset.by_name(k): target.dataset.by_name(v)
+        for k, v in _object_field(data, alpha_field).items()
+    }
+    tmap = {source.op_by_name(k): target.op_by_name(v) for k, v in _object_field(data, "T").items()}
+    return alpha, tmap
+
+
 def _load_seo_maps(path, source, target):
     data = _load_json(path)
     with _reading("operator file", path):
-        alpha = {
-            source.dataset.by_name(k): target.dataset.by_name(v)
-            for k, v in _object_field(data, "alpha").items()
-        }
-        tmap = {source.op_by_name(k): target.op_by_name(v) for k, v in _object_field(data, "T").items()}
-    return alpha, tmap
+        return _operator_maps(data, source, target, "alpha")
 
 
 def cmd_seo_check(args) -> int:
@@ -273,11 +281,7 @@ def cmd_seo_extend(args) -> int:
     data = _load_json(args.map)
     with _reading("extension file", args.map):
         basis = [source.dataset.by_name(n) for n in _json_list(_json_field(data, "basis"), "basis")]
-        alpha_bar = {
-            source.dataset.by_name(k): target.dataset.by_name(v)
-            for k, v in _object_field(data, "alpha_bar").items()
-        }
-        tmap = {source.op_by_name(k): target.op_by_name(v) for k, v in _object_field(data, "T").items()}
+        alpha_bar, tmap = _operator_maps(data, source, target, "alpha_bar")
         variant = data.get("variant", "SEO")
     try:
         seo = extend_from_basis(source, target, basis, alpha_bar, tmap, variant)

@@ -9,9 +9,11 @@ Homology", 2005).  Callers that need relations tag their columns with
 identity entries on negative rows and read them off the tags a reduction
 leaves, as in reducing [D; I] (Edelsbrunner and Harer, 2010).  Edges go by
 components instead where they can: persistence reads degree 0, the rank of
-the edge boundaries and the pairing of the edges in a filtration from a
-union-find over the vertices, so what is eliminated here is the columns of
-dimension 2 and up and the kernel bases of non-zero spaces in degree >= 1.
+the edge boundaries and the pairing of the edges in a filtration from the
+union-find _components over the vertices, so what is eliminated here is the
+columns of dimension 2 and up and the kernel bases of non-zero spaces in
+degree >= 1.  The blocks of an incarnation are components of that
+union-find too.
 """
 
 
@@ -90,13 +92,6 @@ class ModMatrix:
         for j in range(self.ncols):
             solver.add({i: r[j] for i, r in enumerate(self.rows) if r[j]})
         return len(solver.pivots)
-
-    def transpose(self) -> "ModMatrix":
-        return ModMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-            self.p,
-        )
 
     def __repr__(self):
         return f"ModMatrix({self.nrows}x{self.ncols} mod {self.p})"
@@ -185,3 +180,30 @@ def kernel_basis(columns, p: int) -> list:
     solver = ColumnSolver(p)
     rels = (solver.add(col, -1 - j) for j, col in enumerate(columns))
     return [{-1 - t: v for t, v in rel.items()} for rel in rels if rel is not None]
+
+
+def _components(n: int, edges) -> tuple:
+    """Union-find on the vertices 0 .. n - 1, joined by the edges (vertex
+    pairs) in order, each component rooted at its oldest (least) vertex.
+    Returns each vertex's root, and for each edge the root it kills by the
+    elder rule: the younger of the two roots it joins, or -1 if its ends
+    were joined already (the edge closes a cycle)."""
+    parent = list(range(n))
+    kills = []
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            kills.append(-1)
+        else:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            kills.append(b)
+    # every vertex's parent is older than it, so its root is already known
+    roots = []
+    for v, u in enumerate(parent):
+        roots.append(v if u == v else roots[u])
+    return roots, kills

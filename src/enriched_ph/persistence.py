@@ -21,7 +21,7 @@ from fractions import Fraction
 from .core import DataSet, Measurement, PointMap, format_rational, sup_distance
 from .errors import SimplicialMapError, VerificationError
 from .ggraph import GraphFunctor, build_graph
-from .linalg import ColumnSolver, ModMatrix, kernel_basis
+from .linalg import ColumnSolver, ModMatrix, _components, kernel_basis
 
 INF = math.inf
 
@@ -78,8 +78,9 @@ class SimplicialComplex:
     distance function (metric) it was built with, beside the dimension cap.
     It holds every simplex on its points up to the cap whose pairwise
     distances stay within the scale; a complex without a grade has scale
-    and metric None.  A complex cut from a persistence index also knows its
-    scale's index on the index's grid, so nesting compares integers.
+    and metric None.  A complex of a persistence index's filtration also
+    knows its scale's index on the index's grid, so nesting compares
+    integers.
     """
 
     __slots__ = ("points", "simplices", "dim_cap", "scale", "metric", "_grid_index", "_index", "_vertex_pos")
@@ -88,7 +89,7 @@ class SimplicialComplex:
         self.points = tuple(points)
         self.dim_cap = dim_cap
         self.scale, self.metric = scale, metric
-        self._grid_index = None  # the scale's index on its persistence index's grid, if cut from one
+        self._grid_index = None  # the scale's index on its persistence index's grid, if read from one
         self._vertex_pos = {p: i for i, p in enumerate(self.points)}
         self.simplices = {k: tuple(v) for k, v in simplices.items()}
         self._index = {
@@ -117,37 +118,39 @@ def _grade(cx: SimplicialComplex) -> str:
     return f"(scale {cx.scale}, cap {cx.dim_cap}, points {cx.points!r})"
 
 
+def _rips(points, diameter, dim_cap) -> list:
+    """Every simplex on the points up to dim_cap, as a list per dimension k of
+    (simplex, diameter) in itertools.combinations order: the Vietoris-Rips
+    filtration, in which a simplex enters at the largest diameter(a, b)
+    among its vertices (0 for a vertex)."""
+    levels = [[((p,), 0) for p in points]]
+    for k in range(1, dim_cap + 1):
+        levels.append([
+            (combo, max(diameter(a, b) for a, b in itertools.combinations(combo, 2)))
+            for combo in itertools.combinations(points, k + 1)
+        ])
+    return levels
+
+
+def _prefix(levels, top) -> dict:
+    """The simplices of a filtration that enter at or below top, by
+    dimension and in its order, leaving out empty dimensions."""
+    simplices = {}
+    for k, level in enumerate(levels):
+        kept = tuple(s for s, t in level if t <= top)
+        if kept:
+            simplices[k] = kept
+    return simplices
+
+
 def vr_complex(points, dist, r, dim_cap) -> SimplicialComplex:
     """All subsets of size <= dim_cap + 1 whose pairwise distances stay <= r."""
     if r < 0:
         raise ValueError("scale parameter must be nonnegative")
+    if dim_cap < 0:
+        raise ValueError(f"dimension cap {dim_cap} is negative")
     pts = tuple(points)
-    simplices = {}
-    if pts:
-        simplices[0] = tuple((p,) for p in pts)
-    for k in range(1, dim_cap + 1):
-        level = []
-        for combo in itertools.combinations(pts, k + 1):
-            if all(dist(a, b) <= r for a, b in itertools.combinations(combo, 2)):
-                level.append(combo)
-        if not level:
-            break
-        simplices[k] = tuple(level)
-    return SimplicialComplex(pts, simplices, dim_cap, r, dist)
-
-
-def _cut(whole: SimplicialComplex, vertices: frozenset) -> SimplicialComplex:
-    """The simplices of a VR complex that lie on some of its vertices, in its
-    order and with its grade: the VR complex on those vertices."""
-    simplices = {}
-    for k, level in whole.simplices.items():
-        kept = tuple(s for s in level if vertices.issuperset(s))
-        if kept:
-            simplices[k] = kept
-    points = tuple(p for p in whole.points if p in vertices)
-    cx = SimplicialComplex(points, simplices, whole.dim_cap, whole.scale, whole.metric)
-    cx._grid_index = whole._grid_index
-    return cx
+    return SimplicialComplex(pts, _prefix(_rips(pts, dist, dim_cap), r), dim_cap, r, dist)
 
 
 def sublevel(measurement: Measurement, s) -> tuple:
@@ -173,12 +176,13 @@ class _Grades:
     metric is the distance function.  Each measurement m takes the value
     numerators[m][k] / denominator at the k-th domain point, the data set's
     codes, so values and their differences compare as integers.  The memos
-    fill on use: the whole-domain VR complexes by (scale index, cap), which
-    every evaluator's rows are cut from, and the slice barcodes that
+    fill on use: the Vietoris-Rips filtration of the whole domain by cap,
+    with each simplex's diameter as a grid index, which every evaluator's
+    rows and every slice barcode read, and the slice barcodes that
     bottleneck_lower shares, by (measurement, degree, p, scale index).
     """
 
-    __slots__ = ("scales", "index", "pair", "metric", "denominator", "numerators", "complexes", "barcodes")
+    __slots__ = ("scales", "index", "pair", "metric", "denominator", "numerators", "filtrations", "barcodes")
 
     def __init__(self, dataset: DataSet):
         metric = dataset.pseudometric()
@@ -187,7 +191,7 @@ class _Grades:
         pts, self.metric = metric.points, metric.at
         self.pair = {x: dict(zip(pts, (index[v] for v in row))) for x, row in zip(pts, metric.rows)}
         self.denominator, self.numerators = dataset.denominator, {m: c for c, m in dataset._codes.items()}
-        self.complexes, self.barcodes = {}, {}
+        self.filtrations, self.barcodes = {}, {}
 
     def scale_index(self, r) -> int:
         """Index of the largest grid scale <= r: the VR complex of every
@@ -199,17 +203,14 @@ class _Grades:
             i = bisect.bisect_right(self.scales, r) - 1
         return i
 
-    def whole(self, i: int, dim_cap) -> SimplicialComplex:
-        """The VR complex on the whole domain at the i-th grid scale, built by
-        comparing distance indices with i and graded by the scale itself."""
-        key, pair = (i, dim_cap), self.pair
-        cx = self.complexes.get(key)
-        if cx is None:
-            # pair's keys are the domain's points, in order; graded before it is shared
-            cx = vr_complex(pair, lambda x, y: pair[x][y], i, dim_cap)
-            cx.scale, cx.metric, cx._grid_index = self.scales[i], self.metric, i
-            self.complexes[key] = cx
-        return cx
+    def filtration(self, dim_cap) -> list:
+        """The VR filtration of the whole domain up to dim_cap (_rips): its
+        complex at the i-th grid scale is the prefix of diameter index <= i."""
+        levels = self.filtrations.get(dim_cap)
+        if levels is None:
+            pair = self.pair  # its keys are the domain's points, in order
+            levels = self.filtrations[dim_cap] = _rips(tuple(pair), lambda x, y: pair[x][y], dim_cap)
+        return levels
 
 
 def _grades(dataset: DataSet) -> _Grades:
@@ -239,33 +240,6 @@ def _boundary(simplex, index, p: int) -> dict:
     if len(simplex) == 1:
         return {}
     return {index[simplex[:i] + simplex[i + 1 :]]: (-1) ** i % p for i in range(len(simplex))}
-
-
-def _components(n: int, edges) -> tuple:
-    """Union-find on the vertices 0 .. n - 1, joined by the edges (vertex
-    pairs) in order, each component rooted at its oldest (least) vertex.
-    Returns each vertex's root, and for each edge the root it kills by the
-    elder rule: the younger of the two roots it joins, or -1 if its ends
-    were joined already (the edge closes a cycle)."""
-    parent = list(range(n))
-    kills = []
-    for a, b in edges:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a == b:
-            kills.append(-1)
-        else:
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            kills.append(b)
-    # every vertex's parent is older than it, so its root is already known
-    roots = []
-    for v, u in enumerate(parent):
-        roots.append(v if u == v else roots[u])
-    return roots, kills
 
 
 class HomologySpace:
@@ -377,7 +351,7 @@ def verify_simplicial(src: SimplicialComplex, dst: SimplicialComplex, vmap) -> N
 def _check_nested(src: SimplicialComplex, dst: SimplicialComplex) -> None:
     """The inclusion src -> dst is simplicial, and keeps every vertex tuple,
     when the grades nest: one metric, one dimension cap, a scale no larger,
-    and src's points among dst's in dst's order.  Two complexes cut from a
+    and src's points among dst's in dst's order.  Two complexes read from a
     persistence index compare their scales' grid indices."""
     pos = dst._vertex_pos
     order = [pos.get(v, -1) for v in src.points]
@@ -440,9 +414,10 @@ class PHEvaluator:
     distance, and shares it up to the next: ev.homology(V, 1, 1) is
     ev.homology(V, 3/2, 1) when no two points of V lie at a distance in
     (1, 3/2].  That index never decreases as V or r grows, so inclusions
-    nest.  A space's complex is cut from the index's whole-domain VR complex
-    at (its index, degree + 1), in its order and graded by its grid scale,
-    so a complex is built once per scale, not once per vertex set.
+    nest.  The row reads V's simplices out of the index's filtration at cap
+    degree + 1 once; the space at grid index i is built on those of diameter
+    index <= i, in the filtration's order and graded by the i-th scale, so
+    simplices are enumerated once per data set and cap, not per vertex set.
     homology(V, r, d) is the entry of V's row at r's grid index, as is each
     end of inclusion_matrix; the library reads whole rows.
 
@@ -483,11 +458,15 @@ class PHEvaluator:
                 raise ValueError(f"points not in the domain: {sorted(unknown, key=str)!r}")
             if d < 0:
                 raise ValueError(f"homology degree {d} is negative")
-            steps = {0, *(grades.pair[x][y] for x, y in itertools.combinations(vs, 2))}
+            mine = [[(s, t) for s, t in level if vs.issuperset(s)] for level in grades.filtration(d + 1)]
+            points = tuple(v for (v,), _ in mine[0])
+            steps = {0, *(t for _, t in mine[1])}
             row = []
             for i in range(len(grades.scales)):
                 if i in steps:
-                    space = HomologySpace(_cut(grades.whole(i, d + 1), vs), d, self.p)
+                    cx = SimplicialComplex(points, _prefix(mine, i), d + 1, grades.scales[i], grades.metric)
+                    cx._grid_index = i
+                    space = HomologySpace(cx, d, self.p)
                 row.append(space)
             row = self._rows[key] = tuple(row)
         return row
@@ -528,18 +507,6 @@ class CriticalGrid:
     r_values: tuple
     s_values: tuple
 
-    def floor_r(self, r):
-        cand = [v for v in self.r_values if v <= r]
-        if not cand:
-            raise ValueError(f"scale {r} below the grid")
-        return cand[-1]
-
-    def floor_s(self, s):
-        cand = [v for v in self.s_values if v <= s]
-        if not cand:
-            raise ValueError(f"level {s} below the grid sentinel")
-        return cand[-1]
-
 
 def critical_grid(dataset: DataSet, m: Measurement) -> CriticalGrid:
     return CriticalGrid(scale_grid(dataset), level_grid([dataset.find(m)]))
@@ -564,11 +531,6 @@ class BigradedPersistence:
 
     def dims(self):
         return [[sp.dim for sp in row] for row in self.spaces]
-
-    def space_at(self, r, s) -> HomologySpace:
-        i = self.grid.r_values.index(self.grid.floor_r(r))
-        j = self.grid.s_values.index(self.grid.floor_s(s))
-        return self.spaces[i][j]
 
     def verify_squares(self) -> bool:
         """True, or VerificationError naming the first cell (i, j) whose
@@ -882,9 +844,9 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
     """Intervals [birth, death) in the level direction at a fixed scale: the
     simplices of the complex at scale r enter at their highest value, and the
     pivots of the column reduction of the filtered boundary matrix pair each
-    creator with the simplex that kills it.  The complex is the persistence
-    index's whole-domain complex at the grid scale at or below r, shared by
-    every measurement.  Simplices are sorted by the integer numerators of
+    creator with the simplex that kills it.  The complex is the prefix of
+    the persistence index's filtration at the grid scale at or below r,
+    shared by every measurement.  Simplices are sorted by the integer numerators of
     their values; births and deaths become Fractions only in the result.
 
     The edge columns are paired by the elder rule (_components): an edge
@@ -894,10 +856,10 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
     _check_degree_and_prime(degree, p)
     m = dataset.find(m)
     grades = _grades(dataset)
-    cx = grades.whole(grades.scale_index(r), degree + 1)
+    complex_at = _prefix(grades.filtration(degree + 1), grades.scale_index(r))
     value = dict(zip(dataset.domain.points, grades.numerators[m]))
     simplices = sorted(
-        (max(value[v] for v in s), k, s) for k, level in cx.simplices.items() for s in level
+        (max(value[v] for v in s), k, s) for k, level in complex_at.items() for s in level
     )
     pos = {s: j for j, (_, _, s) in enumerate(simplices)}
     edges = [(j, s) for j, (_, k, s) in enumerate(simplices) if k == 1]

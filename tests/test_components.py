@@ -23,7 +23,8 @@ from enriched_ph import (
     slice_barcode,
     vr_complex,
 )
-from enriched_ph.persistence import INF, _check_nested, _components, _cut, _grades, _sublevels
+from enriched_ph.linalg import _components
+from enriched_ph.persistence import INF, _check_nested, _sublevels
 from conftest import HALF_LATTICE, OracleHomologySpace, oracle_slice_barcode
 
 F = Fraction
@@ -173,7 +174,7 @@ def test_degree_1_builds_a_kernel_basis_exactly_when_h1_is_not_zero(monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# inclusions between cut complexes
+# inclusions between complexes cut from the filtration
 
 
 @st.composite
@@ -202,8 +203,12 @@ def test_inclusion_matrices_equal_those_of_the_kernel_basis_oracle(case, degree)
 
 def test_nesting_of_cut_complexes_compares_grid_indices(fixture_a):
     both = fixture_a["both"]
-    grades, points = _grades(both), frozenset(both.domain.points)
-    low, high = _cut(grades.whole(1, 2), points), _cut(grades.whole(2, 2), points)
+
+    def whole_row():
+        # the whole domain's row: every grid index is a distance among its points
+        return PHEvaluator(both, 2)._row(both.domain.points, 1)
+
+    low, high = whole_row()[1].complex, whole_row()[2].complex
     assert (low._grid_index, high._grid_index) == (1, 2)
     # scales that cannot be compared: only the indices are read
     low.scale, high.scale = object(), object()
@@ -214,9 +219,11 @@ def test_nesting_of_cut_complexes_compares_grid_indices(fixture_a):
     # a complex from vr_complex has no index, and is compared by its scale
     plain = vr_complex(both.domain.points, both.pseudometric().at, F(2), 2)
     assert plain._grid_index is None
+    row = whole_row()
+    assert (row[1].complex.scale, row[2].complex.scale) == (F(1), F(2))
     with pytest.raises(SimplicialMapError, match="a larger scale"):
-        _check_nested(plain, _cut(grades.whole(1, 2), points))
-    _check_nested(plain, _cut(grades.whole(2, 2), points))
+        _check_nested(plain, row[1].complex)
+    _check_nested(plain, row[2].complex)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import os
@@ -47,7 +48,7 @@ from enriched_ph import (
     universal_incarnation,
     vr_complex,
 )
-from enriched_ph.persistence import INF, HomologySpace, _grade, _grades, _sublevels, check_prime
+from enriched_ph.persistence import INF, HomologySpace, _grade, _grades, _prefix, _sublevels, check_prime
 from enriched_ph.linalg import ModMatrix
 from conftest import (
     HALF_LATTICE,
@@ -104,6 +105,13 @@ def test_vr_complex_rejects_negative_scale(fixture_a):
     metric = fixture_a["phi_only"].pseudometric()
     with pytest.raises(ValueError):
         vr_complex(fixture_a["domain"].points, metric.at, F(-1), 2)
+
+
+@pytest.mark.parametrize("cap", [-1, -3])
+def test_vr_complex_refuses_a_negative_dimension_cap(fixture_a, cap):
+    metric = fixture_a["phi_only"].pseudometric()
+    with pytest.raises(ValueError, match=f"dimension cap {cap} is negative"):
+        vr_complex(fixture_a["domain"].points, metric.at, F(0), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +947,7 @@ def test_failing_level_square_raises_under_python_O():
 
 
 # ---------------------------------------------------------------------------
-# inclusions: complexes cut from one VR complex per scale, checked by grade
+# inclusions: complexes read from one VR filtration per data set, checked by grade
 
 
 def test_cut_complex_equals_the_vr_complex_on_the_subset():
@@ -965,15 +973,30 @@ def test_cut_complex_equals_the_vr_complex_on_the_subset():
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.one_of(interleave_cases().map(lambda case: case[0]), sevenths_cases().map(lambda case: case[0])))
-def test_whole_complexes_from_distance_indices_equal_the_fraction_built_ones(ds):
-    grades, metric = _grades(ds), ds.pseudometric()
-    for (i, r), cap in itertools.product(enumerate(scale_grid(ds)), (1, 2, 3)):
-        whole, fresh = grades.whole(i, cap), vr_complex(ds.domain.points, metric.at, r, cap)
-        assert whole.points == fresh.points
-        assert list(whole.simplices.items()) == list(fresh.simplices.items())
-        assert whole._index == fresh._index
-        assert (whole.scale, whole.metric, whole.dim_cap) == (fresh.scale, fresh.metric, fresh.dim_cap)
-        assert type(whole.scale) is Fraction
+def test_filtration_prefixes_equal_vr_complexes_and_the_definition(ds):
+    grades, metric, pts = _grades(ds), ds.pseudometric(), ds.domain.points
+    for cap in (1, 2, 3):
+        levels = grades.filtration(cap)
+        assert grades.filtration(cap) is levels
+        # the whole domain's row has a space at every index: each is a distance among its points
+        row = PHEvaluator(ds, 2)._row(pts, cap - 1)
+        for i, r in enumerate(scale_grid(ds)):
+            fresh = vr_complex(pts, metric.at, r, cap)
+            defined = [
+                [
+                    c for c in itertools.combinations(pts, k + 1)
+                    if all(metric.at(a, b) <= r for a, b in itertools.combinations(c, 2))
+                ]
+                for k in range(cap + 1)
+            ]
+            assert list(_prefix(levels, i).items()) == list(fresh.simplices.items())
+            assert fresh.simplices == {k: tuple(level) for k, level in enumerate(defined) if level}
+            cx = row[i].complex
+            assert cx.points == fresh.points
+            assert list(cx.simplices.items()) == list(fresh.simplices.items())
+            assert cx._index == fresh._index
+            assert (cx.scale, cx.metric, cx.dim_cap, cx._grid_index) == (fresh.scale, fresh.metric, fresh.dim_cap, i)
+            assert type(cx.scale) is Fraction
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -996,25 +1019,32 @@ def test_sublevels_by_bisection_equal_the_scan(case):
         assert _sublevels(pts, [-v for v in m.values], levels) == supers
 
 
-def test_evaluator_builds_one_complex_per_scale(monkeypatch):
+def test_evaluator_builds_one_filtration_per_cap(monkeypatch):
     import enriched_ph.persistence as persistence
 
     ds = random_dataset(random.Random(92), min_points=5, max_points=5, min_meas=3, max_meas=3)
     phi, psi, _ = ds
-    real, built = persistence.vr_complex, []
+    real, built, complexes = persistence._rips, [], []
 
-    def counted(points, dist, r, dim_cap):
-        built.append((r, dim_cap))
-        return real(points, dist, r, dim_cap)
+    def counted(points, diameter, dim_cap):
+        built.append(dim_cap)
+        return real(points, diameter, dim_cap)
 
-    monkeypatch.setattr(persistence, "vr_complex", counted)
-    ev = PHEvaluator(ds, 2)
-    interleave_upper(ds, phi, psi, 1, 2, evaluator=ev)
-    ph_grid(ds, phi, 1, 2, evaluator=ev)
-    # each whole complex is built once per grid index and cap, from integer distance indices
-    assert sorted(built) == [(i, 2) for i in range(len(scale_grid(ds)))]
-    assert all(type(i) is int for i, _ in built)
-    assert len({space for row in ev._rows.values() for space in row}) > len(built)
+    monkeypatch.setattr(persistence, "_rips", counted)
+    monkeypatch.setattr(persistence, "vr_complex", lambda *args: complexes.append(args))
+    spaces = 0
+    for d in (1, 0, 1):
+        ev = PHEvaluator(ds, 2)
+        interleave_upper(ds, phi, psi, d, 2, evaluator=ev)
+        ph_grid(ds, phi, d, 2, evaluator=ev)
+        bottleneck_lower(ds, phi, psi, d, 2)
+        spaces += len({space for row in ev._rows.values() for space in row})
+    # the data set's filtration at each cap, shared by every evaluator and slice
+    # barcode, enumerated once from integer distance indices; no VR complex is built
+    assert built == [2, 1] and complexes == []
+    assert sorted(_grades(ds).filtrations) == [1, 2]
+    assert all(type(t) is int for levels in _grades(ds).filtrations.values() for level in levels for _, t in level)
+    assert spaces > len(built)
     assert scale_grid(ds) is scale_grid(ds)
 
 
@@ -1358,20 +1388,21 @@ def test_geometric_seo_gives_natural_transformation(fixture_b):
         assert verify_natural_transformation(pulled, p_functor, components)
 
 
-def test_matrix_transpose_and_rank():
-    from enriched_ph.linalg import ModMatrix
-
-    m = ModMatrix([[1, 2, 0], [0, 1, 1]], 3, 5)
-    assert m.transpose().shape == (3, 2)
-    assert m.transpose().rank() == m.rank() == 2
+def test_matrix_rank():
+    assert ModMatrix([[1, 2, 0], [0, 1, 1]], 3, 5).rank() == 2
+    assert ModMatrix([[1, 2], [2, 4], [0, 0]], 2, 5).rank() == 1
 
 
 def test_space_at_cell_lookup(fixture_a):
     both = fixture_a["both"]
-    bp = ph_grid(both, both.by_name("phi"), 1, 2)
-    assert bp.space_at(F(3, 2), F(10)).dim == 1   # inside [1,2) x [1,inf)
-    assert bp.space_at(F(2), F(10)).dim == 0
-    assert bp.space_at(F(1), F(1, 2)).dim == 0
+    phi = both.by_name("phi")
+    bp = ph_grid(both, phi, 1, 2)
+    # right-continuous: a point of a cell reads the space at the cell's lower-left corner
+    for r, s, dim in ((F(3, 2), F(10), 1), (F(2), F(10), 0), (F(1), F(1, 2), 0)):   # [1,2) x [1,inf) first
+        i = bisect.bisect_right(bp.grid.r_values, r) - 1
+        j = bisect.bisect_right(bp.grid.s_values, s) - 1
+        assert bp.spaces[i][j] is bp.evaluator.homology(sublevel(phi, s), r, 1)
+        assert bp.spaces[i][j].dim == dim
 
 
 def brute_bottleneck(bars_a, bars_b):
