@@ -80,10 +80,12 @@ def _object_field(data: dict, name: str) -> dict:
 
 def _load_json(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise CliError(EXIT_INPUT, f"no such file: {path}")
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_INPUT, f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_INPUT, f"malformed JSON in {path}: {exc}")
     if not isinstance(data, dict):
@@ -125,7 +127,7 @@ def _write(text, path):
     _emit and _write_text both end here rather than in each other, so a
     traced run (bench/tracing.py) still sees each output as one write."""
     if path:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -304,6 +304,8 @@ class HomologySpace:
                     raise ValueError("chain is not a cycle modulo the stored boundaries")
                 sums[component[j]] += v
             return tuple(v % self.p for v in sums)
+        if min(chain, default=0) < 0:  # negative rows are the solver's representative tags
+            raise ValueError("chain is not a cycle modulo the stored boundaries")
         combo = self._solver.coords(chain)
         if combo is None:
             raise ValueError("chain is not a cycle modulo the stored boundaries")
@@ -382,9 +384,11 @@ def induced_map(src_space: HomologySpace, dst_space: HomologySpace, vmap) -> Mod
     vertex tuple; the inclusion of a space into itself is the identity.  A
     vertex map goes through verify_simplicial and chain_image.  Either map
     is checked first, and with a zero-dimensional end it is the empty
-    matrix."""
+    matrix.  Ends of different degree or modulus are a ValueError."""
     src, dst = src_space.complex, dst_space.complex
     k, p = src_space.degree, src_space.p
+    if (k, p) != (dst_space.degree, dst_space.p):
+        raise ValueError(f"the source space is H_{k} over F_{p}, the target H_{dst_space.degree} over F_{dst_space.p}")
     if vmap is None:
         _check_nested(src, dst)
         if src_space is dst_space:
@@ -423,12 +427,11 @@ class PHEvaluator:
 
     Induced matrices (_maps) are keyed by (source space, target space, vertex
     map, or None for an inclusion); the target space may belong to another
-    evaluator, as in ph_map between two data sets.  Composites (_paths) are
-    keyed by three spaces (a, b, c): the inclusion b -> c after a -> b.
-    Both legs are read through _map, so every inclusion is checked; a path
-    with a zero-dimensional end is the empty matrix, one with an identity
-    leg (a is b, or b is c) is the other leg, and only the rest are
-    multiplied out, once each.
+    evaluator, as in ph_map between two data sets.  _path(a, b, c) composes
+    the inclusion b -> c after a -> b on each call and stores nothing.  Both
+    legs are read through _map, so every inclusion is checked; a path with a
+    zero-dimensional end is the empty matrix, one with an identity leg (a is
+    b, or b is c) is the other leg, and only the rest are multiplied out.
 
     interleave_upper keeps _checked here: the diagram rows it has certified,
     by their vertex tuples and degree.  A row enters _checked only after all
@@ -440,7 +443,6 @@ class PHEvaluator:
         self.p = check_prime(p)
         self._rows = {}
         self._maps = {}
-        self._paths = {}
         self._checked = set()
 
     def homology(self, vertices, r, d) -> HomologySpace:
@@ -480,16 +482,10 @@ class PHEvaluator:
         return mat
 
     def _path(self, a: HomologySpace, b: HomologySpace, c: HomologySpace) -> ModMatrix:
-        key = (a, b, c)
-        mat = self._paths.get(key)
-        if mat is None:
-            first, second = self._map(a, b), self._map(b, c)
-            if not (a.dim and c.dim):
-                mat = ModMatrix.zeros(c.dim, a.dim, self.p)
-            else:
-                mat = second if a is b else first if b is c else second @ first
-            self._paths[key] = mat
-        return mat
+        first, second = self._map(a, b), self._map(b, c)
+        if not (a.dim and c.dim):
+            return ModMatrix.zeros(c.dim, a.dim, self.p)
+        return second if a is b else first if b is c else second @ first
 
     def inclusion_matrix(self, src_vertices, src_r, dst_vertices, dst_r, d) -> ModMatrix:
         return self._map(self.homology(src_vertices, src_r, d), self.homology(dst_vertices, dst_r, d))

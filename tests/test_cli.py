@@ -344,10 +344,11 @@ def test_interleave_carmichael_or_huge_modulus_exit_2(files, capsys, modulus):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def _python_m(argv, cwd=None):
-    """Run the CLI in a fresh interpreter through python -m enriched_ph."""
+def _python_m(argv, cwd=None, **environ):
+    """Run the CLI in a fresh interpreter through python -m enriched_ph, with
+    environ added to the environment."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **environ)
     return subprocess.run(
         [sys.executable, "-m", "enriched_ph", *argv],
         capture_output=True, text=True, env=env, cwd=cwd, timeout=60,
@@ -362,6 +363,23 @@ def test_python_m_runs_the_cli(files, flags, code):
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert json.loads(proc.stdout)["upper"] == "1"
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale without UTF-8 mode: open() would default to ASCII
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+    data, out = tmp_path / "accent.json", tmp_path / "out.csv"
+    data.write_bytes(json.dumps({"domain": ["é", "b"], "measurements": {"f": ["0", "1"]}}, ensure_ascii=False).encode())
+    proc = _python_m(["metric", str(data), "-o", str(out)], **ascii_locale)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == ",é,b\né,0,1\nb,1,0\n".encode()
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff{}")
+    proc = _python_m(["metric", str(latin)], **ascii_locale)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: {latin} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
 
 
 def test_repeated_main_calls_match_fresh_processes(files, capsys, monkeypatch):

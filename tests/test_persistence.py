@@ -241,6 +241,35 @@ def test_coords_of_gives_boundaries_zero_and_rejects_non_cycles(simplices, degre
         space.coords_of({0: 1})
 
 
+def _square_cycle():
+    """The 4-cycle a-b-c-d: sides at distance 1, diagonals at distance 2."""
+    diagonals = {frozenset("ac"), frozenset("bd")}
+    return vr_complex("abcd", lambda x, y: F(0) if x == y else F(2 if {x, y} in diagonals else 1), F(1), 2)
+
+
+@pytest.mark.parametrize("vmap", [None, {v: v for v in "abcd"}], ids=["inclusion", "vertex map"])
+@pytest.mark.parametrize("src, dst", [((1, 2), (0, 2)), ((0, 2), (1, 2)), ((1, 2), (1, 3)), ((1, 3), (1, 2))])
+def test_induced_map_refuses_ends_of_another_degree_or_modulus(src, dst, vmap):
+    cx = _square_cycle()
+    assert homology(cx, 1, 2).dim == homology(cx, 0, 2).dim == 1
+    with pytest.raises(ValueError) as info:
+        induced_map(homology(cx, *src), homology(cx, *dst), vmap)
+    (d, p), (e, q) = src, dst
+    assert str(info.value) == f"the source space is H_{d} over F_{p}, the target H_{e} over F_{q}"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_coords_of_refuses_negative_simplex_numbers(d, p):
+    # negative rows tag the representatives inside the solver, so no chain may name one
+    space = homology(SimplicialComplex("abcde", HOUSE if d == 1 else TWO_TETRAHEDRA, d + 1), d, p)
+    assert space.dim == 1
+    for chain in ({-1: 1}, {-2: 1}, {**space.representatives[0], -1: 1}):
+        with pytest.raises(ValueError, match="^chain is not a cycle modulo the stored boundaries$"):
+            space.coords_of(chain)
+    assert space.coords_of(space.representatives[0]) == (1,)
+
+
 def test_non_simplicial_map_rejected(fixture_a):
     metric = fixture_a["both"].pseudometric()
     cx = vr_complex(fixture_a["domain"].points, metric.at, F(1), 2)
@@ -1088,10 +1117,17 @@ def test_a_row_holds_a_space_at_every_scale_and_changes_only_at_its_distances(ca
 def test_inclusions_by_grade_equal_the_per_simplex_walk(case):
     ds, phi, psi, d, p = case
     ev = PHEvaluator(ds, p)
+    composites, path = [], ev._path
+
+    def recorded(a, b, c):
+        composites.append((a, b, c, path(a, b, c)))
+        return composites[-1][-1]
+
+    ev._path = recorded
     interleave_upper(ds, phi, psi, d, p, evaluator=ev)
     for (src, dst, g), mat in ev._maps.items():
         assert g is None and mat == oracle_inclusion_map(src, dst)
-    for (a, b, c), mat in ev._paths.items():
+    for a, b, c, mat in composites:
         assert mat == oracle_inclusion_map(b, c) @ oracle_inclusion_map(a, b)
     bp = ph_grid(ds, psi, d, p)
     spaces, nr, ns = bp.spaces, len(bp.grid.r_values), len(bp.grid.s_values)
@@ -1102,23 +1138,29 @@ def test_inclusions_by_grade_equal_the_per_simplex_walk(case):
             assert bp.up[i][j] == oracle_inclusion_map(spaces[i][j], spaces[i][j + 1])
 
 
-def test_interleave_multiplies_each_path_of_maps_once(fixture_a, monkeypatch):
+def test_interleave_multiplies_only_paths_of_two_nonempty_ends_and_no_identity_leg(fixture_a, monkeypatch):
     both = fixture_a["both"]
     real, products = ModMatrix.__matmul__, []
+    real_path, paths = PHEvaluator._path, []
 
     def counted(self, other):
         products.append((self, other))
         return real(self, other)
 
+    def recorded(self, a, b, c):
+        paths.append((a, b, c))
+        return real_path(self, a, b, c)
+
     monkeypatch.setattr(ModMatrix, "__matmul__", counted)
+    monkeypatch.setattr(PHEvaluator, "_path", recorded)
     made = []
     for d in (0, 1):
         products.clear()
-        ev = PHEvaluator(both, 2)
-        res = interleave_upper(both, both.by_name("phi"), both.by_name("psi"), d, 2, evaluator=ev)
-        # one product per path of two non-empty ends and no identity leg, fewer
-        # than one per triangle and two per square
-        multiplied = [(a, b, c) for a, b, c in ev._paths if a.dim and c.dim and a is not b and b is not c]
+        paths.clear()
+        res = interleave_upper(both, both.by_name("phi"), both.by_name("psi"), d, 2, evaluator=PHEvaluator(both, 2))
+        # one product per path call of two non-empty ends and no identity leg,
+        # fewer than one per triangle and two per square
+        multiplied = [(a, b, c) for a, b, c in paths if a.dim and c.dim and a is not b and b is not c]
         assert len(products) == len(multiplied) < res.certificate["triangles"] + 2 * res.certificate["squares"]
         made.append(len(products))
     assert made[0] > 0  # H_0 has such paths; H_1's maps here are all empty or identities
@@ -1140,7 +1182,8 @@ def test_inclusion_refuses_grades_that_do_not_nest(fixture_a):
     assert "(scale 1, cap 2, points ('x1', 'x2', 'x3', 'x4'))" in fault
     assert "(scale 1, cap 2, points ('x1', 'x2', 'x3'))" in fault
     assert "a larger scale" in _inclusion_fault(ev.homology(pts, F(2), 1), full)
-    assert "another dimension cap" in _inclusion_fault(ev.homology(pts, F(1), 0), full)
+    capped = homology(vr_complex(pts, both.pseudometric().at, F(1), 3), 1, 2)
+    assert "another dimension cap" in _inclusion_fault(capped, full)
     # the same domain, vertex set and scale in another data set's evaluator
     other = PHEvaluator(fixture_a["phi_only"], 2).homology(pts, F(1), 1)
     assert "another metric" in _inclusion_fault(other, full)
