@@ -123,13 +123,17 @@ def _load_dataset_or_incarnation(path):
 
 
 def _write(text, path):
-    """The one writer: text to the file at path, or to stdout without one.
-    _emit and _write_text both end here rather than in each other, so a
-    traced run (bench/tracing.py) still sees each output as one write."""
+    """The one writer: text to the file at path, or to stdout without one,
+    as UTF-8 either way, whatever the locale.  _emit and _write_text both
+    end here rather than in each other, so a traced run (bench/tracing.py)
+    still sees each output as one write."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # what was written as text goes first
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:  # a text-only stream, such as an io.StringIO
         sys.stdout.write(text)
 
 

@@ -178,11 +178,12 @@ class _Grades:
     codes, so values and their differences compare as integers.  The memos
     fill on use: the Vietoris-Rips filtration of the whole domain by cap,
     with each simplex's diameter as a grid index, which every evaluator's
-    rows and every slice barcode read, and the slice barcodes that
+    rows read; its order by each measurement's values, which every slice
+    barcode of that measurement cuts; and the slice barcodes that
     bottleneck_lower shares, by (measurement, degree, p, scale index).
     """
 
-    __slots__ = ("scales", "index", "pair", "metric", "denominator", "numerators", "filtrations", "barcodes")
+    __slots__ = ("scales", "index", "pair", "metric", "denominator", "numerators", "filtrations", "orders", "barcodes")
 
     def __init__(self, dataset: DataSet):
         metric = dataset.pseudometric()
@@ -191,7 +192,7 @@ class _Grades:
         pts, self.metric = metric.points, metric.at
         self.pair = {x: dict(zip(pts, (index[v] for v in row))) for x, row in zip(pts, metric.rows)}
         self.denominator, self.numerators = dataset.denominator, {m: c for c, m in dataset._codes.items()}
-        self.filtrations, self.barcodes = {}, {}
+        self.filtrations, self.orders, self.barcodes = {}, {}, {}
 
     def scale_index(self, r) -> int:
         """Index of the largest grid scale <= r: the VR complex of every
@@ -211,6 +212,20 @@ class _Grades:
             pair = self.pair  # its keys are the domain's points, in order
             levels = self.filtrations[dim_cap] = _rips(tuple(pair), lambda x, y: pair[x][y], dim_cap)
         return levels
+
+    def order(self, m, dim_cap) -> list:
+        """The filtration up to dim_cap as (value, dim, simplex, diameter
+        index), sorted, where a simplex's value is m's largest numerator on
+        its vertices: the order in which the simplices enter m's sublevels."""
+        entries = self.orders.get((m, dim_cap))
+        if entries is None:
+            value = dict(zip(self.pair, self.numerators[m]))
+            entries = self.orders[m, dim_cap] = sorted(
+                (max(value[v] for v in s), k, s, t)
+                for k, level in enumerate(self.filtration(dim_cap))
+                for s, t in level
+            )
+        return entries
 
 
 def _grades(dataset: DataSet) -> _Grades:
@@ -427,15 +442,11 @@ class PHEvaluator:
 
     Induced matrices (_maps) are keyed by (source space, target space, vertex
     map, or None for an inclusion); the target space may belong to another
-    evaluator, as in ph_map between two data sets.  _path(a, b, c) composes
-    the inclusion b -> c after a -> b on each call and stores nothing.  Both
-    legs are read through _map, so every inclusion is checked; a path with a
-    zero-dimensional end is the empty matrix, one with an identity leg (a is
-    b, or b is c) is the other leg, and only the rest are multiplied out.
-
-    interleave_upper keeps _checked here: the diagram rows it has certified,
-    by their vertex tuples and degree.  A row enters _checked only after all
-    its checks pass, and no later call checks it again.
+    evaluator, as in ph_map between two data sets.  interleave_upper reads
+    inclusions by pairs of rows (_links, see _link), and keeps _checked
+    here: the diagram rows it has certified, by their vertex tuples and
+    degree.  A row enters _checked only after all its checks pass, and no
+    later call checks it again.
     """
 
     def __init__(self, dataset: DataSet, p: int = 2):
@@ -443,6 +454,7 @@ class PHEvaluator:
         self.p = check_prime(p)
         self._rows = {}
         self._maps = {}
+        self._links = {}
         self._checked = set()
 
     def homology(self, vertices, r, d) -> HomologySpace:
@@ -481,11 +493,28 @@ class PHEvaluator:
             mat = self._maps[key] = induced_map(src, dst, vmap)
         return mat
 
-    def _path(self, a: HomologySpace, b: HomologySpace, c: HomologySpace) -> ModMatrix:
-        first, second = self._map(a, b), self._map(b, c)
-        if not (a.dim and c.dim):
-            return ModMatrix.zeros(c.dim, a.dim, self.p)
-        return second if a is b else first if b is c else second @ first
+    def _link(self, a, b, d) -> tuple:
+        """The inclusions row(a)[i] -> row(b)[i] at every grid index i, or with
+        b None the scale steps row(a)[i] -> row(a)[i + 1], keyed by the
+        vertex tuples and the degree.
+
+        The grades of the pair are checked once, on its last entries: a row
+        fixes its points (in domain order), its metric and its cap, and i is
+        shared, so that one check covers every index.  An entry with a
+        zero-dimensional end is the shared empty matrix and is not computed;
+        every other entry is read through _map, which checks and computes it."""
+        key = (a, b, d)
+        link = self._links.get(key)
+        if link is None:
+            src = self._row(a, d)
+            dst = src[1:] if b is None else self._row(b, d)
+            if dst:
+                _check_nested(src[len(dst) - 1].complex, dst[-1].complex)
+            zeros, p = ModMatrix.zeros, self.p
+            link = self._links[key] = tuple(
+                self._map(x, y) if x.dim and y.dim else zeros(y.dim, x.dim, p) for x, y in zip(src, dst)
+            )
+        return link
 
     def inclusion_matrix(self, src_vertices, src_r, dst_vertices, dst_r, d) -> ModMatrix:
         return self._map(self.homology(src_vertices, src_r, d), self.homology(dst_vertices, dst_r, d))
@@ -749,11 +778,18 @@ def interleave_upper(
     Each diagram row (one diagram at every scale) is checked once per
     evaluator, as PHEvaluator describes.  Within a row, a scale whose spaces
     are all those of the scale before it would repeat that check, so it is
-    skipped and the first failing scale is still the witness.  The counts
-    do not depend on what was skipped.  "triangles" counts the distinct
-    triangles (A0, B1, A2) of each side at every scale.  "squares" counts
-    the scale squares of every level and side, shared shifts included, plus
-    the distinct level steps of each side at every scale.
+    skipped and the first failing scale is still the witness.  The spaces
+    of a diagram change where those of its largest row do, since the
+    distances among a vertex set's points are among those of any set that
+    holds it.  A diagram row reads each of its inclusions as a link row
+    (PHEvaluator._link), so every inclusion is checked.  A diagram with a
+    zero-dimensional end is not compared, since both its sides are the
+    empty matrix; a path with an identity leg is its other leg, and only
+    the rest are multiplied out.  The counts do not depend on what was
+    skipped.  "triangles" counts the distinct triangles (A0, B1, A2) of
+    each side at every scale.  "squares" counts the scale squares of every
+    level and side, shared shifts included, plus the distinct level steps
+    of each side at every scale.
     """
     _check_degree_and_prime(degree, p)
     phi, psi = dataset.find(phi), dataset.find(psi)
@@ -772,22 +808,23 @@ def interleave_upper(
         subs = _sublevels(m.domain.points, values[m], [s + k * e for k in range(3) for s in sv])
         return [subs[k * len(sv) : (k + 1) * len(sv)] for k in range(3)]
 
-    def changes(*rows):
-        # (i, the spaces at scale index i) where they differ from those at i - 1:
-        # elsewhere a check would repeat the one just made
-        last = None
-        for i, spaces in enumerate(zip(*rows)):
-            if spaces != last:
-                yield i, spaces
-            last = spaces
+    def changes(big):
+        # the scale indices where a diagram whose largest row is big changes
+        return [i for i, space in enumerate(big) if not i or space is not big[i - 1]]
 
     def nested(*pairs):
         for small, big in pairs:
             if not set(small) <= set(big):
                 raise VerificationError((small, big), f"sublevel {small!r} is not inside {big!r}")
 
-    incl, path, row, checked = ev._map, ev._path, ev._row, ev._checked
+    def path(a, b, c, first, second):
+        # the composite a -> b -> c of two non-empty ends: an identity leg is the other leg
+        return second if a is b else first if b is c else second @ first
+
+    link, checked = ev._link, ev._checked
     at_phi, at_psi = sublevels(phi), sublevels(psi)
+    # every sublevel is an end of some triangle, so each of these rows is read
+    rows = {vs: ev._row(vs, degree) for vs in dict.fromkeys(itertools.chain(*at_phi, *at_psi))}
     sides = ((phi, at_phi, at_psi), (psi, at_psi, at_phi))
     # each diagram once, in order of first use
     tris = dict.fromkeys(
@@ -804,24 +841,33 @@ def interleave_upper(
         if (A0, B1, A2, degree) in checked:
             continue
         nested((A0, B1), (B1, A2))
-        for i, (a0, b1, a2) in changes(row(A0, degree), row(B1, degree), row(A2, degree)):
-            if path(a0, b1, a2) != incl(a0, a2):
+        ab, bc, ac = link(A0, B1, degree), link(B1, A2, degree), link(A0, A2, degree)
+        a0, b1, a2 = rows[A0], rows[B1], rows[A2]
+        for i in changes(a2):
+            if a0[i].dim and a2[i].dim and path(a0[i], b1[i], a2[i], ab[i], bc[i]) != ac[i]:
                 raise VerificationError((A0, B1, A2, rv[i]), "interleaving triangle does not commute")
         checked.add((A0, B1, A2, degree))
     for A0, B1 in shifts:
         if (A0, B1, degree) in checked:
             continue
-        a0, b1 = row(A0, degree), row(B1, degree)
-        for i, (a, b, a_next, b_next) in changes(a0, b1, a0[1:], b1[1:]):
-            if path(a, b, b_next) != path(a, a_next, b_next):
+        a0, b1 = rows[A0], rows[B1]
+        ab, a_up, b_up = link(A0, B1, degree), link(A0, None, degree), link(B1, None, degree)
+        # the square at i reads the spaces at i and i + 1, so it changes where b1 does at either
+        for i in sorted({i for j in changes(b1) for i in (j - 1, j) if 0 <= i < len(rv) - 1}):
+            a, b, a_next, b_next = a0[i], b1[i], a0[i + 1], b1[i + 1]
+            if (a.dim and b_next.dim
+                    and path(a, b, b_next, ab[i], b_up[i]) != path(a, a_next, b_next, a_up[i], ab[i + 1])):
                 raise VerificationError((A0, B1, rv[i], rv[i + 1]), "shift maps not natural in the scale direction")
         checked.add((A0, B1, degree))
     for A0, A1, B0, B1, _ in steps:
         if (A0, A1, B0, B1, degree) in checked:
             continue
         nested((B0, B1), (A0, B0), (A1, B1), (A0, A1))
-        for i, (a0, a1, b0, b1) in changes(row(A0, degree), row(A1, degree), row(B0, degree), row(B1, degree)):
-            if path(a0, b0, b1) != path(a0, a1, b1):
+        a0b0, b0b1 = link(A0, B0, degree), link(B0, B1, degree)
+        a0a1, a1b1 = link(A0, A1, degree), link(A1, B1, degree)
+        for i in changes(rows[B1]):
+            a0, a1, b0, b1 = rows[A0][i], rows[A1][i], rows[B0][i], rows[B1][i]
+            if a0.dim and b1.dim and path(a0, b0, b1, a0b0[i], b0b1[i]) != path(a0, a1, b1, a0a1[i], a1b1[i]):
                 raise VerificationError((A0, A1, B0, B1, rv[i]), "shift maps not natural in the level direction")
         checked.add((A0, A1, B0, B1, degree))
     triangles = len(rv) * len(tris)
@@ -842,8 +888,10 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
     pivots of the column reduction of the filtered boundary matrix pair each
     creator with the simplex that kills it.  The complex is the prefix of
     the persistence index's filtration at the grid scale at or below r,
-    shared by every measurement.  Simplices are sorted by the integer numerators of
-    their values; births and deaths become Fractions only in the result.
+    shared by every measurement.  Its simplices are read, in order, from the
+    measurement's order of the whole filtration (_Grades.order), sorted once
+    by the integer numerators of their values: a sublist of a sorted list is
+    sorted.  Births and deaths are read as m's values only in the result.
 
     The edge columns are paired by the elder rule (_components): an edge
     that joins two components kills the younger root, which is the pivot
@@ -852,11 +900,8 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
     _check_degree_and_prime(degree, p)
     m = dataset.find(m)
     grades = _grades(dataset)
-    complex_at = _prefix(grades.filtration(degree + 1), grades.scale_index(r))
-    value = dict(zip(dataset.domain.points, grades.numerators[m]))
-    simplices = sorted(
-        (max(value[v] for v in s), k, s) for k, level in complex_at.items() for s in level
-    )
+    top = grades.scale_index(r)
+    simplices = [(v, k, s) for v, k, s, t in grades.order(m, degree + 1) if t <= top]
     pos = {s: j for j, (_, _, s) in enumerate(simplices)}
     edges = [(j, s) for j, (_, k, s) in enumerate(simplices) if k == 1]
     higher = [j for j, (_, k, _) in enumerate(simplices) if k > 1]
@@ -875,8 +920,8 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
         if death != birth:
             bars.append((birth, death))
     bars.sort()  # by birth, then death, INF after every finite death
-    den = grades.denominator
-    return [(Fraction(b, den), INF if d == INF else Fraction(d, den)) for b, d in bars]
+    value = dict(zip(grades.numerators[m], m.values))  # a bar's ends are values of m
+    return [(value[b], INF if d == INF else value[d]) for b, d in bars]
 
 
 def _perfect_matching(left, edges) -> bool:
@@ -961,7 +1006,9 @@ def bottleneck_lower(dataset: DataSet, phi: Measurement, psi: Measurement, degre
     barcodes; a certified lower bound for the interleaving distance.
 
     Each barcode is kept in the data set's persistence index and computed
-    by slice_barcode only the first time any pair asks for it."""
+    by slice_barcode only the first time any pair asks for it.  The pair is
+    matched only at the scales where either barcode differs from the scale
+    before."""
     _check_degree_and_prime(degree, p)
     memo = _grades(dataset).barcodes
     phi, psi = dataset.find(phi), dataset.find(psi)
@@ -973,12 +1020,14 @@ def bottleneck_lower(dataset: DataSet, phi: Measurement, psi: Measurement, degre
             bars = memo[key] = tuple(slice_barcode(dataset, m, degree, p, r))
         return bars
 
-    best = Fraction(0)
+    best, last = Fraction(0), None
     for i, r in enumerate(scale_grid(dataset)):
-        d = bottleneck_distance(barcode(phi, i, r), barcode(psi, i, r))
-        if d == INF:
-            return INF
-        best = max(best, d)
+        bars = barcode(phi, i, r), barcode(psi, i, r)
+        if bars != last:  # else the distance is the last scale's
+            d = bottleneck_distance(*bars)
+            if d == INF:
+                return INF
+            best, last = max(best, d), bars
     return best
 
 

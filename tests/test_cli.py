@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -344,14 +346,14 @@ def test_interleave_carmichael_or_huge_modulus_exit_2(files, capsys, modulus):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def _python_m(argv, cwd=None, **environ):
+def _python_m(argv, cwd=None, text=True, **environ):
     """Run the CLI in a fresh interpreter through python -m enriched_ph, with
-    environ added to the environment."""
+    environ added to the environment; text False keeps its output as bytes."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **environ)
     return subprocess.run(
         [sys.executable, "-m", "enriched_ph", *argv],
-        capture_output=True, text=True, env=env, cwd=cwd, timeout=60,
+        capture_output=True, text=text, env=env, cwd=cwd, timeout=60,
     )
 
 
@@ -380,6 +382,19 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     assert proc.stderr == (
         f"error: {latin} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
     )
+
+
+def test_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # stdout's text layer would encode in ASCII here; the output is written as UTF-8 bytes
+    data = tmp_path / "accent.json"
+    data.write_bytes(json.dumps({"domain": ["é", "b"], "measurements": {"f": ["0", "1"]}}, ensure_ascii=False).encode())
+    proc = _python_m(["metric", str(data)], text=False, LC_ALL="C", PYTHONUTF8="0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ",é,b\né,0,1\nb,1,0\n".encode()
+    # a stream without a byte buffer gets the text itself
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["metric", str(data)]) == 0
+    assert out.getvalue() == ",é,b\né,0,1\nb,1,0\n"
 
 
 def test_repeated_main_calls_match_fresh_processes(files, capsys, monkeypatch):

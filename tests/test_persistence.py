@@ -844,12 +844,13 @@ def sevenths_cases(draw):
 
 def maps_read(ev):
     """Every pair of (vertex set, grid index the space was built at, degree)
-    the evaluator computed a map between."""
+    of two non-empty spaces the evaluator computed a map between; a map with
+    a zero-dimensional end is the empty matrix, computed or not."""
     key_of = {}
     for (vs, d), row in ev._rows.items():
         for i, space in enumerate(row):
             key_of.setdefault(space, (vs, i, d))
-    return {(key_of[src], key_of[dst]) for src, dst, _ in ev._maps}
+    return {(key_of[src], key_of[dst]) for src, dst, _ in ev._maps if src.dim and dst.dim}
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -1117,18 +1118,13 @@ def test_a_row_holds_a_space_at_every_scale_and_changes_only_at_its_distances(ca
 def test_inclusions_by_grade_equal_the_per_simplex_walk(case):
     ds, phi, psi, d, p = case
     ev = PHEvaluator(ds, p)
-    composites, path = [], ev._path
-
-    def recorded(a, b, c):
-        composites.append((a, b, c, path(a, b, c)))
-        return composites[-1][-1]
-
-    ev._path = recorded
     interleave_upper(ds, phi, psi, d, p, evaluator=ev)
     for (src, dst, g), mat in ev._maps.items():
         assert g is None and mat == oracle_inclusion_map(src, dst)
-    for a, b, c, mat in composites:
-        assert mat == oracle_inclusion_map(b, c) @ oracle_inclusion_map(a, b)
+    for (a, b, _), link in ev._links.items():
+        src = ev._row(a, d)
+        for x, y, mat in zip(src, src[1:] if b is None else ev._row(b, d), link):
+            assert mat == oracle_inclusion_map(x, y)
     bp = ph_grid(ds, psi, d, p)
     spaces, nr, ns = bp.spaces, len(bp.grid.r_values), len(bp.grid.s_values)
     for i, j in itertools.product(range(nr), range(ns)):
@@ -1138,29 +1134,52 @@ def test_inclusions_by_grade_equal_the_per_simplex_walk(case):
             assert bp.up[i][j] == oracle_inclusion_map(spaces[i][j], spaces[i][j + 1])
 
 
+def compared_paths(ev, phi, psi, d):
+    """The paths a -> b -> c that interleave_upper compares, walked by
+    sublevel values: each distinct diagram row once, at the scales where
+    its spaces change."""
+    eps = sup_distance(phi, psi)
+    sv = sorted(set(level_grid([phi])) | set(level_grid([psi])))
+    rows = {}
+    for s, (a, b) in itertools.product(sv, ((phi, psi), (psi, phi))):
+        A0, B1, A2 = sublevel(a, s), sublevel(b, s + eps), sublevel(a, s + 2 * eps)
+        rows[A0, B1, A2] = lambda a0, b1, a2: [(a0, b1, a2)]
+        rows[A0, B1] = lambda a, b, a_next, b_next: [(a, b, b_next), (a, a_next, b_next)]
+    for (s0, s1), (a, b) in itertools.product(zip(sv, sv[1:]), ((phi, psi), (psi, phi))):
+        A0, A1, B0, B1 = sublevel(a, s0), sublevel(a, s1), sublevel(b, s0 + eps), sublevel(b, s1 + eps)
+        rows[A0, A1, B0, B1] = lambda a0, a1, b0, b1: [(a0, b0, b1), (a0, a1, b1)]
+    paths = []
+    for vertex_sets, diagram in rows.items():
+        spaces = [ev._row(vs, d) for vs in vertex_sets]
+        if len(spaces) == 2:  # a scale square: both rows, then both one scale up
+            spaces += [row[1:] for row in spaces]
+        last = None
+        for at in zip(*spaces):
+            if at != last:
+                paths += diagram(*at)
+            last = at
+    return paths
+
+
 def test_interleave_multiplies_only_paths_of_two_nonempty_ends_and_no_identity_leg(fixture_a, monkeypatch):
     both = fixture_a["both"]
+    phi, psi = both.by_name("phi"), both.by_name("psi")
     real, products = ModMatrix.__matmul__, []
-    real_path, paths = PHEvaluator._path, []
 
     def counted(self, other):
         products.append((self, other))
         return real(self, other)
 
-    def recorded(self, a, b, c):
-        paths.append((a, b, c))
-        return real_path(self, a, b, c)
-
     monkeypatch.setattr(ModMatrix, "__matmul__", counted)
-    monkeypatch.setattr(PHEvaluator, "_path", recorded)
     made = []
     for d in (0, 1):
         products.clear()
-        paths.clear()
-        res = interleave_upper(both, both.by_name("phi"), both.by_name("psi"), d, 2, evaluator=PHEvaluator(both, 2))
-        # one product per path call of two non-empty ends and no identity leg,
+        ev = PHEvaluator(both, 2)
+        res = interleave_upper(both, phi, psi, d, 2, evaluator=ev)
+        # one product per compared path of two non-empty ends and no identity leg,
         # fewer than one per triangle and two per square
-        multiplied = [(a, b, c) for a, b, c in paths if a.dim and c.dim and a is not b and b is not c]
+        multiplied = [(a, b, c) for a, b, c in compared_paths(ev, phi, psi, d)
+                      if a.dim and c.dim and a is not b and b is not c]
         assert len(products) == len(multiplied) < res.certificate["triangles"] + 2 * res.certificate["squares"]
         made.append(len(products))
     assert made[0] > 0  # H_0 has such paths; H_1's maps here are all empty or identities
@@ -1293,6 +1312,61 @@ def test_inclusion_grade_check_runs_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(interleave_cases(), st.data())
+def test_a_link_row_holds_the_inclusion_of_its_rows_at_every_scale(case, data):
+    ds, _, _, d, p = case
+    ev, pts = PHEvaluator(ds, p), ds.domain.points
+    drawn, kept = (set(data.draw(st.lists(st.sampled_from(pts), unique=True))) for _ in range(2))
+    big = tuple(x for x in pts if x in drawn)
+    small = tuple(x for x in big if x in kept)
+    real, mapped = ev._map, []
+
+    def recorded(src, dst):
+        mapped.append((src, dst))
+        return real(src, dst)
+
+    ev._map = recorded
+    for a, b in ((small, big), (big, None), (small, small), (big, big)):
+        link = ev._link(a, b, d)
+        assert ev._link(a, b, d) is link
+        src = ev._row(a, d)
+        dst = src[1:] if b is None else ev._row(b, d)
+        assert len(link) == len(dst)
+        for x, y, mat in zip(src, dst, link):
+            assert mat == oracle_inclusion_map(x, y)
+            if not (x.dim and y.dim):
+                assert mat is ModMatrix.zeros(y.dim, x.dim, p)
+    # an entry with a zero-dimensional end is never computed
+    assert all(x.dim and y.dim for x, y in mapped)
+    for a, b in ((big, small), (tuple(x for x in pts if x not in drawn), big)):
+        if set(a) <= set(b):
+            continue
+        with pytest.raises(SimplicialMapError) as info:
+            ev._link(a, b, d)
+        for end in (ev._row(a, d)[-1], ev._row(b, d)[-1]):
+            assert _grade(end.complex) in str(info.value)
+        assert (a, b, d) not in ev._links
+
+
+LINK_NOT_NESTED = """
+from enriched_ph import DataSet, Domain, PHEvaluator, SimplicialMapError
+from enriched_ph.persistence import _grade
+
+ds = DataSet(Domain(["x1", "x2", "x3", "x4"]), [("phi", ["-1", "0", "0", "1"]), ("psi", ["0", "1", "-1", "0"])])
+ev = PHEvaluator(ds, 2)
+try:
+    ev._link(("x1", "x2"), ("x2", "x3"), 1)
+except SimplicialMapError as exc:
+    ends = [ev._row(vs, 1)[-1].complex for vs in (("x1", "x2"), ("x2", "x3"))]
+    print(__debug__, all(_grade(cx) in str(exc) for cx in ends))
+"""
+
+
+def test_a_link_between_rows_that_do_not_nest_is_refused_under_python_O():
+    assert run_under_python_O(LINK_NOT_NESTED).split() == ["False", "True"]
 
 
 # ---------------------------------------------------------------------------
@@ -1594,6 +1668,35 @@ def test_bottleneck_lower_computes_only_the_new_measurements_barcodes(monkeypatc
     seen.clear()
     bottleneck_lower(ds, phi, chi, 1, 3)
     assert seen == [chi] * n
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(interleave_cases(), st.integers(0, 4))
+def test_bottleneck_lower_matches_each_change_of_the_barcode_pair_once(case, cut):
+    # cut > 0 makes the cut-th matching infinite, as an unmatched infinite bar would be
+    import enriched_ph.persistence as persistence
+
+    ds, phi, psi, d, p = case
+    grid = scale_grid(ds)
+    for m, degree in itertools.product(ds, (0, 1, 2)):  # every measurement's sorted filtration first
+        slice_barcode(ds, m, degree, p, grid[0])
+    for m, degree, r in itertools.product(ds, (0, 1, 2), grid):
+        assert slice_barcode(ds, m, degree, p, r) == oracle_slice_barcode(ds, m, degree, p, r)
+    pairs = [(oracle_slice_barcode(ds, phi, d, p, r), oracle_slice_barcode(ds, psi, d, p, r)) for r in grid]
+    changes = [pair for k, pair in enumerate(pairs) if k == 0 or pair != pairs[k - 1]]
+    real, matched = persistence.bottleneck_distance, []
+
+    def counted(a, b):
+        matched.append((list(a), list(b)))
+        return INF if len(matched) == cut else real(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(persistence, "bottleneck_distance", counted)
+        got = bottleneck_lower(ds, phi, psi, d, p)
+    if 0 < cut <= len(changes):
+        assert got == INF and matched == changes[:cut]
+    else:
+        assert got == oracle_bottleneck_lower(ds, phi, psi, d, p) and matched == changes
 
 
 def test_orientation_reversal_sign_odd_characteristic(fixture_a):
