@@ -179,11 +179,16 @@ class _Grades:
     fill on use: the Vietoris-Rips filtration of the whole domain by cap,
     with each simplex's diameter as a grid index, which every evaluator's
     rows read; its order by each measurement's values, which every slice
-    barcode of that measurement cuts; and the slice barcodes that
-    bottleneck_lower shares, by (measurement, degree, p, scale index).
+    barcode of that measurement cuts; the slice barcodes that
+    bottleneck_lower shares, by (measurement, degree, p, scale index); and
+    the diagrams of interleave_upper by ordered pair of measurements, which
+    every degree and modulus reads.
     """
 
-    __slots__ = ("scales", "index", "pair", "metric", "denominator", "numerators", "filtrations", "orders", "barcodes")
+    __slots__ = (
+        "scales", "index", "pair", "metric", "denominator", "numerators",
+        "filtrations", "orders", "barcodes", "pair_diagrams",
+    )
 
     def __init__(self, dataset: DataSet):
         metric = dataset.pseudometric()
@@ -192,7 +197,7 @@ class _Grades:
         pts, self.metric = metric.points, metric.at
         self.pair = {x: dict(zip(pts, (index[v] for v in row))) for x, row in zip(pts, metric.rows)}
         self.denominator, self.numerators = dataset.denominator, {m: c for c, m in dataset._codes.items()}
-        self.filtrations, self.orders, self.barcodes = {}, {}, {}
+        self.filtrations, self.orders, self.barcodes, self.pair_diagrams = {}, {}, {}, {}
 
     def scale_index(self, r) -> int:
         """Index of the largest grid scale <= r: the VR complex of every
@@ -226,6 +231,48 @@ class _Grades:
                 for s, t in level
             )
         return entries
+
+    def diagrams(self, phi, psi) -> tuple:
+        """What interleave_upper checks for the ordered pair of
+        measurements, in any degree and over any F_p: epsilon = sup |phi -
+        psi|, the number of levels in the grid of both measurements' values
+        (after one sentinel below each), the vertex sets of every sublevel
+        it reads, and its diagrams, each once in order of first use: the
+        triangles (A0, B1, A2, side), the shifts (A0, B1) and the level
+        steps (A0, A1, B0, B1, side), where side is True on phi's side."""
+        found = self.pair_diagrams.get((phi, psi))
+        if found is None:
+            eps = sup_distance(phi, psi)
+            # the level grid and its shifts s + k * eps as integer numerators over the
+            # data set's denominator, which eps's divides: eps is a difference of values
+            den, values = self.denominator, self.numerators
+            e = eps.numerator * (den // eps.denominator)
+            sv = sorted({min(values[phi]) - den, min(values[psi]) - den, *values[phi], *values[psi]})
+
+            def sublevels(m):
+                # sublevel(m, s + k * eps) as [k][index of s in sv]
+                subs = _sublevels(m.domain.points, values[m], [s + k * e for k in range(3) for s in sv])
+                return [subs[k * len(sv) : (k + 1) * len(sv)] for k in range(3)]
+
+            at_phi, at_psi = sublevels(phi), sublevels(psi)
+            sides = ((phi, at_phi, at_psi), (psi, at_psi, at_phi))
+            tris = tuple(dict.fromkeys(
+                (sa[0][j], sb[1][j], sa[2][j], a is phi) for j in range(len(sv)) for a, sa, sb in sides
+            ))
+            steps = tuple(dict.fromkeys(
+                (sa[0][j], sa[0][j + 1], sb[1][j], sb[1][j + 1], a is phi)
+                for j in range(len(sv) - 1)
+                for a, sa, sb in sides
+            ))
+            found = self.pair_diagrams[phi, psi] = (
+                eps,
+                len(sv),
+                tuple(dict.fromkeys(itertools.chain(*at_phi, *at_psi))),
+                tris,
+                tuple(dict.fromkeys((A0, B1) for A0, B1, _, _ in tris)),
+                steps,
+            )
+        return found
 
 
 def _grades(dataset: DataSet) -> _Grades:
@@ -418,6 +465,40 @@ def induced_map(src_space: HomologySpace, dst_space: HomologySpace, vmap) -> Mod
     return ModMatrix.from_columns([dst_space.coords_of(z) for z in images], dst_space.dim, p)
 
 
+class ComponentMap:
+    """A map in H_0 that sends components to components, as an inclusion
+    does: targets[c] is the component of the target, among dim, that
+    source component c goes to.  Its matrix over any F_p has the unit
+    vector at targets[c] as column c, so g @ f composes by indexing and
+    == compares tuples.  Ends that do not match are a ValueError, as for
+    ModMatrix."""
+
+    __slots__ = ("targets", "dim")
+
+    def __init__(self, targets: tuple, dim: int):
+        self.targets, self.dim = targets, dim
+
+    def __matmul__(self, other: "ComponentMap") -> "ComponentMap":
+        targets = self.targets
+        if len(targets) != other.dim:
+            raise ValueError(f"a map from {len(targets)} components after a map into {other.dim}")
+        return ComponentMap(tuple(targets[c] for c in other.targets), self.dim)
+
+    def __eq__(self, other):
+        return isinstance(other, ComponentMap) and self.dim == other.dim and self.targets == other.targets
+
+    def __repr__(self):
+        return f"ComponentMap({self.targets!r} into {self.dim})"
+
+
+def _component_map(src_space: HomologySpace, dst_space: HomologySpace, at) -> ComponentMap:
+    """The inclusion in H_0 of src_space's complex into dst_space's, whose
+    vertex j is the target's vertex at[j]: each source component, whose
+    representative is its first vertex, goes to that vertex's component."""
+    component = dst_space._component
+    return ComponentMap(tuple(component[at[v]] for rep in src_space.representatives for v in rep), dst_space.dim)
+
+
 # ---------------------------------------------------------------------------
 # the evaluation engine
 
@@ -443,10 +524,12 @@ class PHEvaluator:
     Induced matrices (_maps) are keyed by (source space, target space, vertex
     map, or None for an inclusion); the target space may belong to another
     evaluator, as in ph_map between two data sets.  interleave_upper reads
-    inclusions by pairs of rows (_links, see _link), and keeps _checked
-    here: the diagram rows it has certified, by their vertex tuples and
-    degree.  A row enters _checked only after all its checks pass, and no
-    later call checks it again.
+    inclusions by pairs of rows (_links, see _link): in degree 0 as
+    component maps, which need no matrix, and in higher degrees through
+    _maps, each entry built once for a run of scales with the same two
+    spaces.  It keeps _checked here: the diagram rows it has certified, by
+    their vertex tuples and degree.  A row enters _checked only after all
+    its checks pass, and no later call checks it again.
     """
 
     def __init__(self, dataset: DataSet, p: int = 2):
@@ -500,21 +583,46 @@ class PHEvaluator:
 
         The grades of the pair are checked once, on its last entries: a row
         fixes its points (in domain order), its metric and its cap, and i is
-        shared, so that one check covers every index.  An entry with a
-        zero-dimensional end is the shared empty matrix and is not computed;
-        every other entry is read through _map, which checks and computes it."""
+        shared, so that one check covers every index.  An entry whose two
+        spaces are those of the index before is that index's entry.  In
+        degree 0 an entry is a ComponentMap, built from the positions of the
+        source's points among the target's, which the link computes once;
+        an entry of two non-empty ends is checked first (_check_nested), and
+        one of a space into itself is the identity.  In higher degrees an
+        entry with a zero-dimensional end is the shared empty matrix and is
+        not computed; every other entry is read through _map, which checks
+        and computes it."""
         key = (a, b, d)
         link = self._links.get(key)
         if link is None:
             src = self._row(a, d)
             dst = src[1:] if b is None else self._row(b, d)
-            if dst:
-                _check_nested(src[len(dst) - 1].complex, dst[-1].complex)
-            zeros, p = ModMatrix.zeros, self.p
-            link = self._links[key] = tuple(
-                self._map(x, y) if x.dim and y.dim else zeros(y.dim, x.dim, p) for x, y in zip(src, dst)
-            )
+            link = self._links[key] = tuple(self._entries(src, dst, d))
         return link
+
+    def _entries(self, src, dst, d):
+        """The entries of the link of the rows src and dst, as _link says."""
+        if not dst:
+            return
+        _check_nested(src[len(dst) - 1].complex, dst[-1].complex)
+        if d:
+            zeros, p = ModMatrix.zeros, self.p
+
+            def entry(x, y):
+                return self._map(x, y) if x.dim and y.dim else zeros(y.dim, x.dim, p)
+        else:
+            pos = dst[-1].complex._vertex_pos
+            at = [pos[v] for v in src[-1].complex.points]
+
+            def entry(x, y):
+                if x.dim and y.dim:
+                    _check_nested(x.complex, y.complex)
+                return _component_map(x, y, at)
+        last_x = last_y = None
+        for x, y in zip(src, dst):
+            if x is not last_x or y is not last_y:
+                made, last_x, last_y = entry(x, y), x, y
+            yield made
 
     def inclusion_matrix(self, src_vertices, src_r, dst_vertices, dst_r, d) -> ModMatrix:
         return self._map(self.homology(src_vertices, src_r, d), self.homology(dst_vertices, dst_r, d))
@@ -782,31 +890,26 @@ def interleave_upper(
     of a diagram change where those of its largest row do, since the
     distances among a vertex set's points are among those of any set that
     holds it.  A diagram row reads each of its inclusions as a link row
-    (PHEvaluator._link), so every inclusion is checked.  A diagram with a
-    zero-dimensional end is not compared, since both its sides are the
-    empty matrix; a path with an identity leg is its other leg, and only
-    the rest are multiplied out.  The counts do not depend on what was
-    skipped.  "triangles" counts the distinct triangles (A0, B1, A2) of
-    each side at every scale.  "squares" counts the scale squares of every
-    level and side, shared shifts included, plus the distinct level steps
-    of each side at every scale.
+    (PHEvaluator._link), so every inclusion is checked.  In degree 0 the
+    inclusions are component maps (ComponentMap), which compose by indexing
+    and compare as tuples; in higher degrees they are matrices.  A diagram
+    with a zero-dimensional end is not compared, since both its sides are
+    the empty map; a path with an identity leg is its other leg, and only
+    the rest are composed.  What depends on neither the degree nor the
+    modulus (epsilon, the sublevels and the diagrams themselves) is read
+    once per ordered pair from the data set's persistence index
+    (_Grades.diagrams).  The counts do not depend on what was skipped.
+    "triangles" counts the distinct triangles (A0, B1, A2) of each side at
+    every scale.  "squares" counts the scale squares of every level and
+    side, shared shifts included, plus the distinct level steps of each
+    side at every scale.
     """
     _check_degree_and_prime(degree, p)
     phi, psi = dataset.find(phi), dataset.find(psi)
     ev = _evaluator(dataset, p, evaluator)
-    eps = sup_distance(phi, psi)
     grades = _grades(dataset)
     rv = grades.scales
-    # the level grid and its shifts s + k * eps as integer numerators over the
-    # data set's denominator, which eps's divides: eps is a difference of values
-    den, values = grades.denominator, grades.numerators
-    e = eps.numerator * (den // eps.denominator)
-    sv = sorted({min(values[phi]) - den, min(values[psi]) - den, *values[phi], *values[psi]})
-
-    def sublevels(m):
-        # sublevel(m, s + k * eps) as [k][index of s in sv]
-        subs = _sublevels(m.domain.points, values[m], [s + k * e for k in range(3) for s in sv])
-        return [subs[k * len(sv) : (k + 1) * len(sv)] for k in range(3)]
+    eps, levels, vertex_sets, tris, shifts, steps = grades.diagrams(phi, psi)
 
     def changes(big):
         # the scale indices where a diagram whose largest row is big changes
@@ -822,20 +925,8 @@ def interleave_upper(
         return second if a is b else first if b is c else second @ first
 
     link, checked = ev._link, ev._checked
-    at_phi, at_psi = sublevels(phi), sublevels(psi)
     # every sublevel is an end of some triangle, so each of these rows is read
-    rows = {vs: ev._row(vs, degree) for vs in dict.fromkeys(itertools.chain(*at_phi, *at_psi))}
-    sides = ((phi, at_phi, at_psi), (psi, at_psi, at_phi))
-    # each diagram once, in order of first use
-    tris = dict.fromkeys(
-        (sa[0][j], sb[1][j], sa[2][j], a is phi) for j in range(len(sv)) for a, sa, sb in sides
-    )
-    shifts = dict.fromkeys((A0, B1) for A0, B1, _, _ in tris)
-    steps = dict.fromkeys(
-        (sa[0][j], sa[0][j + 1], sb[1][j], sb[1][j + 1], a is phi)
-        for j in range(len(sv) - 1)
-        for a, sa, sb in sides
-    )
+    rows = {vs: ev._row(vs, degree) for vs in vertex_sets}
     # a row's key is its vertex tuples and the degree; the three kinds differ in length
     for A0, B1, A2, _ in tris:
         if (A0, B1, A2, degree) in checked:
@@ -871,7 +962,7 @@ def interleave_upper(
                 raise VerificationError((A0, A1, B0, B1, rv[i]), "shift maps not natural in the level direction")
         checked.add((A0, A1, B0, B1, degree))
     triangles = len(rv) * len(tris)
-    squares = 2 * len(sv) * (len(rv) - 1) + len(rv) * len(steps)
+    squares = 2 * levels * (len(rv) - 1) + len(rv) * len(steps)
     return InterleavingResult(
         upper=eps,
         certificate={"triangles": triangles, "squares": squares, "epsilon": format_rational(eps)},

@@ -48,7 +48,16 @@ from enriched_ph import (
     universal_incarnation,
     vr_complex,
 )
-from enriched_ph.persistence import INF, HomologySpace, _grade, _grades, _prefix, _sublevels, check_prime
+from enriched_ph.persistence import (
+    INF,
+    ComponentMap,
+    HomologySpace,
+    _grade,
+    _grades,
+    _prefix,
+    _sublevels,
+    check_prime,
+)
 from enriched_ph.linalg import ModMatrix
 from conftest import (
     HALF_LATTICE,
@@ -844,13 +853,28 @@ def sevenths_cases(draw):
 
 def maps_read(ev):
     """Every pair of (vertex set, grid index the space was built at, degree)
-    of two non-empty spaces the evaluator computed a map between; a map with
-    a zero-dimensional end is the empty matrix, computed or not."""
+    of two non-empty spaces the evaluator computed a map between, as a
+    matrix in _maps or as a degree-0 entry of a link row; a map with a
+    zero-dimensional end is the empty matrix, computed or not."""
     key_of = {}
     for (vs, d), row in ev._rows.items():
         for i, space in enumerate(row):
             key_of.setdefault(space, (vs, i, d))
-    return {(key_of[src], key_of[dst]) for src, dst, _ in ev._maps if src.dim and dst.dim}
+    pairs = [(src, dst) for src, dst, _ in ev._maps]
+    for a, b, d in ev._links:
+        if d == 0:
+            src = ev._row(a, d)
+            pairs.extend(zip(src, src[1:] if b is None else ev._row(b, d)))
+    return {(key_of[src], key_of[dst]) for src, dst in pairs if src.dim and dst.dim}
+
+
+def matrix_of(entry, p):
+    """A link entry as a matrix over F_p: column c of a ComponentMap's is
+    the unit vector at its entry c."""
+    if isinstance(entry, ComponentMap):
+        cols = [[int(i == t) for i in range(entry.dim)] for t in entry.targets]
+        return ModMatrix.from_columns(cols, entry.dim, p)
+    return entry
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -894,36 +918,59 @@ def test_interleave_on_one_shared_evaluator_equals_fresh_walkers(case):
 FULL = ("x1", "x2", "x3", "x4")
 
 
-def zero_inclusions(monkeypatch, chosen):
-    """Make persistence.induced_map return zero for the chosen (source, target) spaces."""
+def square_dataset():
+    """The square of four points that the CLI checks read, at scales 0, 2, 3
+    and 4: in degree 0 some scale squares of f and g end in a space of two
+    components, where those of fixture_a all end in one."""
+    return DataSet(
+        Domain(["a", "b", "c", "d"]),
+        [("f", ["0", "2", "0", "-2"]), ("g", ["2", "0", "-2", "0"]), ("h", ["-2", "-2", "-2", "1"])],
+    )
+
+
+def shift_inclusions(monkeypatch, chosen):
+    """Send each source component to the next target component (mod the
+    target's dimension) in the degree-0 inclusions of the chosen (source,
+    target) spaces: in the component maps of the link rows, and in the
+    matrices of persistence.induced_map, which the oracle reads."""
     import enriched_ph.persistence as persistence
 
-    real = persistence.induced_map
+    real_map, real_induced = persistence._component_map, persistence.induced_map
+
+    def component_map(src, dst, at):
+        m = real_map(src, dst, at)
+        return ComponentMap(tuple((t + 1) % m.dim for t in m.targets), m.dim) if chosen(src, dst) else m
 
     def induced(src, dst, vmap):
-        m = real(src, dst, vmap)
-        return ModMatrix.zeros(m.nrows, m.ncols, m.p) if chosen(src, dst) else m
+        m = real_induced(src, dst, vmap)
+        # row t moves to row t + 1, and with it the unit vector of each column
+        return ModMatrix(m.rows[-1:] + m.rows[:-1], m.ncols, m.p) if chosen(src, dst) else m
 
+    monkeypatch.setattr(persistence, "_component_map", component_map)
     monkeypatch.setattr(persistence, "induced_map", induced)
 
 
 @pytest.mark.parametrize(
-    "chosen, message, witness",
+    "pair, chosen, message, witness",
     [
         # the shift from sublevel(phi, -1) straight to sublevel(phi, 1)
         (
+            ("phi", "psi"),
             lambda src, dst: (src.complex.points, dst.complex.points) == (("x1",), FULL),
             "interleaving triangle",
             (("x1",), ("x1", "x3", "x4"), FULL, F(0)),
         ),
-        # every scale map of the whole domain
+        # every scale map of sublevel(g, 0): the first scale square of f and g whose
+        # end has two components, since no map into one component can be wrong
         (
-            lambda src, dst: src.complex.points == dst.complex.points == FULL and src is not dst,
+            ("f", "g"),
+            lambda src, dst: src.complex.points == dst.complex.points == ("b", "c", "d") and src is not dst,
             "scale direction",
-            (("x1", "x2", "x3"), FULL, F(0), F(1)),
+            (("d",), ("b", "c", "d"), F(0), F(2)),
         ),
         # the level map from sublevel(phi, -1) to sublevel(phi, 0)
         (
+            ("phi", "psi"),
             lambda src, dst: (src.complex.points, dst.complex.points) == (("x1",), ("x1", "x2", "x3")),
             "level direction",
             (("x1",), ("x1", "x2", "x3"), ("x1", "x3", "x4"), FULL, F(0)),
@@ -931,49 +978,66 @@ def zero_inclusions(monkeypatch, chosen):
     ],
     ids=["triangle", "scale-square", "level-square"],
 )
-def test_interleave_names_the_first_failing_check(fixture_a, monkeypatch, chosen, message, witness):
-    zero_inclusions(monkeypatch, chosen)
-    both = fixture_a["both"]
-    phi, psi = both.by_name("phi"), both.by_name("psi")
-    ev = PHEvaluator(both, 2)
+def test_interleave_names_the_first_failing_check(fixture_a, monkeypatch, pair, chosen, message, witness):
+    shift_inclusions(monkeypatch, chosen)
+    ds = fixture_a["both"] if pair == ("phi", "psi") else square_dataset()
+    phi, psi = (ds.by_name(name) for name in pair)
+    ev = PHEvaluator(ds, 2)
     for _ in range(2):  # a failed row is not certified, so a second call fails alike
         with pytest.raises(VerificationError, match=message) as info:
-            interleave_upper(both, phi, psi, 0, 2, evaluator=ev)
+            interleave_upper(ds, phi, psi, 0, 2, evaluator=ev)
         assert info.value.witness == witness
     with pytest.raises(VerificationError) as oracle:
-        oracle_interleave_upper(both, phi, psi, 0, 2)
+        oracle_interleave_upper(ds, phi, psi, 0, 2)
     assert oracle.value.witness == witness
 
 
 FAILING_LEVEL_SQUARE = """
 import enriched_ph.persistence as persistence
+from conftest import oracle_interleave_upper
 from enriched_ph import DataSet, Domain, PHEvaluator, VerificationError, interleave_upper
 from enriched_ph.linalg import ModMatrix
+from enriched_ph.persistence import ComponentMap
 
-real = persistence.induced_map
+real_map, real_induced = persistence._component_map, persistence.induced_map
+
+
+def chosen(src, dst):
+    return (src.complex.points, dst.complex.points) == (("x1",), ("x1", "x2", "x3"))
+
+
+def component_map(src, dst, at):
+    m = real_map(src, dst, at)
+    return ComponentMap(tuple((t + 1) % m.dim for t in m.targets), m.dim) if chosen(src, dst) else m
 
 
 def induced(src, dst, vmap):
-    m = real(src, dst, vmap)
-    if (src.complex.points, dst.complex.points) == (("x1",), ("x1", "x2", "x3")):
-        return ModMatrix.zeros(m.nrows, m.ncols, m.p)
-    return m
+    m = real_induced(src, dst, vmap)
+    return ModMatrix(m.rows[-1:] + m.rows[:-1], m.ncols, m.p) if chosen(src, dst) else m
 
 
-persistence.induced_map = induced
+persistence._component_map, persistence.induced_map = component_map, induced
 ds = DataSet(Domain(["x1", "x2", "x3", "x4"]), [("phi", ["-1", "0", "0", "1"]), ("psi", ["0", "1", "-1", "0"])])
+phi, psi = ds.by_name("phi"), ds.by_name("psi")
 ev, witnesses = PHEvaluator(ds, 2), []
 for _ in range(2):
     try:
-        interleave_upper(ds, ds.by_name("phi"), ds.by_name("psi"), 0, 2, evaluator=ev)
+        interleave_upper(ds, phi, psi, 0, 2, evaluator=ev)
     except VerificationError as exc:
         witnesses.append(exc.witness)
-print(__debug__, len(witnesses[0]), witnesses[0][-1], witnesses[1] == witnesses[0])
+try:
+    oracle_interleave_upper(ds, phi, psi, 0, 2)
+except VerificationError as exc:
+    witnesses.append(exc.witness)
+print(__debug__, len(witnesses[0]), witnesses[0][-1], witnesses[1] == witnesses[0] == witnesses[2])
 """
 
 
 def test_failing_level_square_raises_under_python_O():
-    assert run_under_python_O(FAILING_LEVEL_SQUARE).split() == ["False", "5", "0", "True"]
+    # the oracle lives in conftest, beside this file
+    tests = os.path.dirname(os.path.abspath(__file__))
+    script = f"import sys\nsys.path.insert(0, {tests!r})\n" + FAILING_LEVEL_SQUARE
+    assert run_under_python_O(script).split() == ["False", "5", "0", "True"]
 
 
 # ---------------------------------------------------------------------------
@@ -1124,7 +1188,7 @@ def test_inclusions_by_grade_equal_the_per_simplex_walk(case):
     for (a, b, _), link in ev._links.items():
         src = ev._row(a, d)
         for x, y, mat in zip(src, src[1:] if b is None else ev._row(b, d), link):
-            assert mat == oracle_inclusion_map(x, y)
+            assert matrix_of(mat, p) == oracle_inclusion_map(x, y)
     bp = ph_grid(ds, psi, d, p)
     spaces, nr, ns = bp.spaces, len(bp.grid.r_values), len(bp.grid.s_values)
     for i, j in itertools.product(range(nr), range(ns)):
@@ -1164,13 +1228,17 @@ def compared_paths(ev, phi, psi, d):
 def test_interleave_multiplies_only_paths_of_two_nonempty_ends_and_no_identity_leg(fixture_a, monkeypatch):
     both = fixture_a["both"]
     phi, psi = both.by_name("phi"), both.by_name("psi")
-    real, products = ModMatrix.__matmul__, []
+    products = []
 
-    def counted(self, other):
-        products.append((self, other))
-        return real(self, other)
+    def counting(real):
+        def counted(self, other):
+            products.append((self, other))
+            return real(self, other)
+        return counted
 
-    monkeypatch.setattr(ModMatrix, "__matmul__", counted)
+    # matrix products, and in degree 0 compositions of component maps
+    for kind in (ModMatrix, ComponentMap):
+        monkeypatch.setattr(kind, "__matmul__", counting(kind.__matmul__))
     made = []
     for d in (0, 1):
         products.clear()
@@ -1336,8 +1404,8 @@ def test_a_link_row_holds_the_inclusion_of_its_rows_at_every_scale(case, data):
         dst = src[1:] if b is None else ev._row(b, d)
         assert len(link) == len(dst)
         for x, y, mat in zip(src, dst, link):
-            assert mat == oracle_inclusion_map(x, y)
-            if not (x.dim and y.dim):
+            assert matrix_of(mat, p) == oracle_inclusion_map(x, y)
+            if d and not (x.dim and y.dim):
                 assert mat is ModMatrix.zeros(y.dim, x.dim, p)
     # an entry with a zero-dimensional end is never computed
     assert all(x.dim and y.dim for x, y in mapped)
@@ -1349,6 +1417,57 @@ def test_a_link_row_holds_the_inclusion_of_its_rows_at_every_scale(case, data):
         for end in (ev._row(a, d)[-1], ev._row(b, d)[-1]):
             assert _grade(end.complex) in str(info.value)
         assert (a, b, d) not in ev._links
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(interleave_cases(), st.data())
+def test_component_maps_of_link_rows_are_the_inclusion_matrices_and_compose_as_them(case, data):
+    # the degree-0 fast path against the per-simplex walk, over inclusion and step links
+    ds, _, _, _, p = case
+    ev, pts = PHEvaluator(ds, p), ds.domain.points
+    drawn = [set(data.draw(st.lists(st.sampled_from(pts), unique=True))) for _ in range(3)]
+    big = tuple(x for x in pts if x in drawn[0])
+    mid = tuple(x for x in big if x in drawn[1])
+    small = tuple(x for x in mid if x in drawn[2])
+    rows = {vs: ev._row(vs, 0) for vs in (small, mid, big)}
+    links = {}  # (source space, target space) -> its component map
+    for a, b in ((small, mid), (mid, big), (small, big), (small, None), (mid, None), (big, None)):
+        src = rows[a]
+        for x, y, entry in zip(src, src[1:] if b is None else rows[b], ev._link(a, b, 0)):
+            assert isinstance(entry, ComponentMap)
+            assert matrix_of(entry, p) == oracle_inclusion_map(x, y)
+            links[x, y] = entry
+    entries = list(links.items())
+    for ((x, y), f), ((y2, z), g) in itertools.product(entries, repeat=2):
+        if y is y2:
+            assert matrix_of(g @ f, p) == oracle_inclusion_map(y, z) @ oracle_inclusion_map(x, y)
+        elif y.dim != y2.dim:
+            with pytest.raises(ValueError):
+                g @ f
+
+
+def test_interleave_computes_each_pairs_sublevels_once_for_every_degree_and_modulus(fixture_a, monkeypatch):
+    import enriched_ph.persistence as persistence
+
+    real, calls = persistence._sublevels, []
+
+    def counted(points, values, levels):
+        calls.append(len(levels))
+        return real(points, values, levels)
+
+    monkeypatch.setattr(persistence, "_sublevels", counted)
+    rng = random.Random(67)
+    for ds in [fixture_a["both"]] + [random_dataset(rng, min_meas=2) for _ in range(3)]:
+        calls.clear()
+        evs = [PHEvaluator(ds, p) for p in (2, 3)]
+        pairs = list(itertools.product(ds, repeat=2))
+        for (phi, psi), d, ev in itertools.product(pairs, (0, 1), evs):
+            res = interleave_upper(ds, phi, psi, d, ev.p, evaluator=ev)
+            want = oracle_interleave_upper(ds, phi, psi, d, ev.p)
+            assert (res.upper, res.certificate) == (want.upper, want.certificate)
+        # one call for each measurement of each ordered pair
+        assert len(calls) == 2 * len(pairs)
+        assert set(_grades(ds).pair_diagrams) == set(pairs)
 
 
 LINK_NOT_NESTED = """
