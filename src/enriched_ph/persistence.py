@@ -122,9 +122,10 @@ def _rips(points, diameter, dim_cap) -> list:
     """Every simplex on the points up to dim_cap, as a list per dimension k of
     (simplex, diameter) in itertools.combinations order: the Vietoris-Rips
     filtration, in which a simplex enters at the largest diameter(a, b)
-    among its vertices (0 for a vertex)."""
+    among its vertices (0 for a vertex).  No level passes len(points) - 1,
+    where the empty ones start, but level 1 stays: rows read the edges."""
     levels = [[((p,), 0) for p in points]]
-    for k in range(1, dim_cap + 1):
+    for k in range(1, min(dim_cap, max(len(points) - 1, 1)) + 1):
         levels.append([
             (combo, max(diameter(a, b) for a, b in itertools.combinations(combo, 2)))
             for combo in itertools.combinations(points, k + 1)
@@ -239,7 +240,9 @@ class _Grades:
         (after one sentinel below each), the vertex sets of every sublevel
         it reads, and its diagrams, each once in order of first use: the
         triangles (A0, B1, A2, side), the shifts (A0, B1) and the level
-        steps (A0, A1, B0, B1, side), where side is True on phi's side."""
+        steps (A0, A1, B0, B1, side), where side is True on phi's side.  Each
+        triangle's sublevels nest, A0 in B1 in A2, or VerificationError names
+        the first pair (small, big) that does not, before anything is kept."""
         found = self.pair_diagrams.get((phi, psi))
         if found is None:
             eps = sup_distance(phi, psi)
@@ -264,6 +267,10 @@ class _Grades:
                 for j in range(len(sv) - 1)
                 for a, sa, sb in sides
             ))
+            for A0, B1, A2, _ in tris:
+                for small, big in ((A0, B1), (B1, A2)):
+                    if not set(small) <= set(big):
+                        raise VerificationError((small, big), f"sublevel {small!r} is not inside {big!r}")
             found = self.pair_diagrams[phi, psi] = (
                 eps,
                 len(sv),
@@ -385,8 +392,8 @@ def homology(cx: SimplicialComplex, degree: int, p: int) -> HomologySpace:
 
 
 def chain_image(src: SimplicialComplex, dst: SimplicialComplex, vmap, chain: dict, k: int, p: int) -> dict:
-    """Image of a sparse k-chain under a simplicial vertex map; collapsing
-    simplices go to zero, others carry the sign of the sorting permutation."""
+    """Image of a sparse k-chain under a vertex map that verify_simplicial passed;
+    collapsing simplices go to zero, others carry the sign of the sorting permutation."""
     level = src.dim_simplices(k)
     out = {}
     for j, c in chain.items():
@@ -394,8 +401,6 @@ def chain_image(src: SimplicialComplex, dst: SimplicialComplex, vmap, chain: dic
         if len(set(images)) < len(images):
             continue
         ordered = dst.sort_vertices(images)
-        if not dst.has_simplex(ordered):
-            raise SimplicialMapError(f"image of {level[j]!r} is not a simplex")
         perm = [ordered.index(w) for w in images]
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
         i = dst.index_of(ordered)
@@ -524,12 +529,12 @@ class PHEvaluator:
     Induced matrices (_maps) are keyed by (source space, target space, vertex
     map, or None for an inclusion); the target space may belong to another
     evaluator, as in ph_map between two data sets.  interleave_upper reads
-    inclusions by pairs of rows (_links, see _link): in degree 0 as
-    component maps, which need no matrix, and in higher degrees through
-    _maps, each entry built once for a run of scales with the same two
-    spaces.  It keeps _checked here: the diagram rows it has certified, by
-    their vertex tuples and degree.  A row enters _checked only after all
-    its checks pass, and no later call checks it again.
+    inclusions by pairs of rows (_links, see _link, which checks each pair's
+    grades once): in degree 0 as component maps, which need no matrix, and in
+    higher degrees through _maps, each entry built once for a run of scales
+    with the same two spaces.  It keeps _checked here: the diagram rows it
+    has certified, by their vertex tuples and degree.  A row enters _checked
+    only after all its checks pass, and no later call checks it again.
     """
 
     def __init__(self, dataset: DataSet, p: int = 2):
@@ -583,12 +588,13 @@ class PHEvaluator:
 
         The grades of the pair are checked once, on its last entries: a row
         fixes its points (in domain order), its metric and its cap, and i is
-        shared, so that one check covers every index.  An entry whose two
-        spaces are those of the index before is that index's entry.  In
-        degree 0 an entry is a ComponentMap, built from the positions of the
-        source's points among the target's, which the link computes once;
-        an entry of two non-empty ends is checked first (_check_nested), and
-        one of a space into itself is the identity.  In higher degrees an
+        shared, so that one check covers every index: a source row's points
+        are among the target's, so its steps are among the target's too, and
+        no entry is checked on its own.  An entry whose two spaces are those
+        of the index before is that index's entry.  In degree 0 an entry is a
+        ComponentMap, built from the positions of the source's points among
+        the target's, which the link computes once; one of a space into
+        itself is the identity.  In higher degrees an
         entry with a zero-dimensional end is the shared empty matrix and is
         not computed; every other entry is read through _map, which checks
         and computes it."""
@@ -615,8 +621,6 @@ class PHEvaluator:
             at = [pos[v] for v in src[-1].complex.points]
 
             def entry(x, y):
-                if x.dim and y.dim:
-                    _check_nested(x.complex, y.complex)
                 return _component_map(x, y, at)
         last_x = last_y = None
         for x, y in zip(src, dst):
@@ -898,7 +902,8 @@ def interleave_upper(
     the rest are composed.  What depends on neither the degree nor the
     modulus (epsilon, the sublevels and the diagrams themselves) is read
     once per ordered pair from the data set's persistence index
-    (_Grades.diagrams).  The counts do not depend on what was skipped.
+    (_Grades.diagrams, which checks that each triangle's sublevels nest).
+    The counts do not depend on what was skipped.
     "triangles" counts the distinct triangles (A0, B1, A2) of each side at
     every scale.  "squares" counts the scale squares of every level and
     side, shared shifts included, plus the distinct level steps of each
@@ -915,11 +920,6 @@ def interleave_upper(
         # the scale indices where a diagram whose largest row is big changes
         return [i for i, space in enumerate(big) if not i or space is not big[i - 1]]
 
-    def nested(*pairs):
-        for small, big in pairs:
-            if not set(small) <= set(big):
-                raise VerificationError((small, big), f"sublevel {small!r} is not inside {big!r}")
-
     def path(a, b, c, first, second):
         # the composite a -> b -> c of two non-empty ends: an identity leg is the other leg
         return second if a is b else first if b is c else second @ first
@@ -931,7 +931,6 @@ def interleave_upper(
     for A0, B1, A2, _ in tris:
         if (A0, B1, A2, degree) in checked:
             continue
-        nested((A0, B1), (B1, A2))
         ab, bc, ac = link(A0, B1, degree), link(B1, A2, degree), link(A0, A2, degree)
         a0, b1, a2 = rows[A0], rows[B1], rows[A2]
         for i in changes(a2):
@@ -953,7 +952,8 @@ def interleave_upper(
     for A0, A1, B0, B1, _ in steps:
         if (A0, A1, B0, B1, degree) in checked:
             continue
-        nested((B0, B1), (A0, B0), (A1, B1), (A0, A1))
+        # the pairs nest: (A0, B0) and (A1, B1) are triangle pairs (_Grades.diagrams),
+        # and the links (A0, A1) and (B0, B1) read here check their grades
         a0b0, b0b1 = link(A0, B0, degree), link(B0, B1, degree)
         a0a1, a1b1 = link(A0, A1, degree), link(A1, B1, degree)
         for i in changes(rows[B1]):

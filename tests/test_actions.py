@@ -651,6 +651,22 @@ def test_block_incarnation_two_orbits():
         assert dimension(sub) == 1
 
 
+def test_a_block_that_is_not_transitive_fails_the_certificate(fixture_a, monkeypatch):
+    # the first partition merges the blocks of phi and psi; the block's own is the true one
+    inc = Incarnation(fixture_a["both"], [PointMap.identity(fixture_a["domain"])])
+    phi, real, calls = fixture_a["both"].by_name("phi"), actions.blocks, []
+
+    def merged_once(of):
+        calls.append(of)
+        part = real(of)
+        return actions.Partition((sum(part.blocks, ()),)) if len(calls) == 1 else part
+
+    monkeypatch.setattr(actions, "blocks", merged_once)
+    with pytest.raises(VerificationError, match="^the block of phi is not transitive$") as info:
+        block_incarnation(inc, phi)
+    assert info.value.witness == phi and len(calls) == 2
+
+
 def test_universal_incarnation(fixture_b):
     uni = universal_incarnation(fixture_b["dataset"])
     assert uni.kind == "monoid"

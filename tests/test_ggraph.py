@@ -4,8 +4,10 @@ import random
 import pytest
 
 from enriched_ph import (
+    DataSet,
     EquivarianceError,
     Incarnation,
+    VerificationError,
     build_graph,
     category,
     compose_functor,
@@ -59,6 +61,17 @@ def test_deleting_edge_invalidates(fixture_b):
     broken = GrothendieckGraph(g.vertices, g.colors, g.edges[1:])
     assert not validate_graph(broken)
     assert graph_violation(broken) == (g.edges[0][0], g.edges[0][1])
+
+
+def test_an_action_out_of_the_data_set_fails_the_certificate(fixture_b, monkeypatch):
+    # phi1 . g1 lands on a measurement that is not in the data set
+    ds, act = fixture_b["dataset"], Incarnation.act
+    outside = DataSet(ds.domain, [("out", [0, 0, 0])]).by_name("out")
+    edge = (ds.by_name("phi1"), fixture_b["ops"]["g1"])
+    monkeypatch.setattr(Incarnation, "act", lambda inc, m, g: outside if (m, g) == edge else act(inc, m, g))
+    with pytest.raises(VerificationError) as info:
+        build_graph(fixture_b["incarnation"])
+    assert info.value.witness == edge
 
 
 def test_doubled_edge_invalidates(fixture_b):

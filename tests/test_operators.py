@@ -565,6 +565,21 @@ def test_decompose_random_isomorphism():
         assert is_independent(image, diag)
 
 
+def test_a_decomposition_that_is_not_an_isomorphism_fails_the_certificate(fixture_b, monkeypatch):
+    # validate_seo hands decompose an operator that sends every measurement to one
+    validate = operators.validate_seo
+
+    def merged(*args):
+        seo = validate(*args)
+        seo.measurement_map = dict.fromkeys(seo.measurement_map, next(iter(seo.measurement_map.values())))
+        return seo
+
+    monkeypatch.setattr(operators, "validate_seo", merged)
+    with pytest.raises(VerificationError, match="^block decomposition is not an isomorphism$") as err:
+        decompose(fixture_b["incarnation"])
+    assert len(set(err.value.witness.measurement_map.values())) == 1
+
+
 def test_change_units_maps_form_natural_transformation():
     # whiskering: units . (alpha, T) == C(f)(alpha, T) . units
     rng = random.Random(42)
@@ -661,6 +676,20 @@ def test_geo_extension_needs_isotropy_kept():
     swap = src.op_by_name("swap")
     assert err.value.witness == Relation(a, a, (swap,), ())
     assert str(err.value) == "T(swap) does not fix the image of a"
+
+
+@pytest.mark.parametrize("variant", ["SEO", "MEO", "GEO"])
+def test_a_conflict_once_the_hypotheses_hold_fails_the_certificate(fixture_b, monkeypatch, variant):
+    # the closure walk reports a conflict: for SEO the walk is the hypothesis, so the
+    # conflict is a HypothesisViolation; MEO and GEO verified theirs, so it is internal
+    inc = _swap_group(["x1", "x2"], [("c", [0, 1]), ("d", [1, 0])]) if variant == "GEO" else fixture_b["incarnation"]
+    basis = find_basis(inc)
+    conflict, closure_pairs = Relation(basis[0], basis[0], (), ()), operators._closure_pairs
+    monkeypatch.setattr(operators, "_closure_pairs", lambda *args: (closure_pairs(*args)[0], conflict))
+    expected = HypothesisViolation if variant == "SEO" else VerificationError
+    with pytest.raises(expected) as err:
+        extend_from_basis(inc, inc, basis, {w: w for w in basis}, {g: g for g in inc.ops}, variant)
+    assert type(err.value) is expected and err.value.witness == conflict
 
 
 def test_is_monoid_operator_false_cases(fixture_b):

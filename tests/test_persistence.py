@@ -807,14 +807,18 @@ def test_interleave_shifted_measurement():
 
 
 def test_interleave_names_the_sublevels_that_do_not_nest(fixture_a, monkeypatch):
-    # at half the true distance, sublevel(phi, -1) is not inside sublevel(psi, -1/2)
+    # at half the true distance, sublevel(phi, -1) is not inside sublevel(psi, -1/2);
+    # the pair is checked before its diagrams are kept, so every call fails alike
     import enriched_ph.persistence as persistence
 
     monkeypatch.setattr(persistence, "sup_distance", lambda a, b: sup_distance(a, b) / 2)
     both = fixture_a["both"]
-    with pytest.raises(VerificationError) as info:
-        interleave_upper(both, both.by_name("phi"), both.by_name("psi"), 1, 2)
-    assert info.value.witness == (("x1",), ("x3",))
+    for p in (2, 3):
+        for d in (1, 0):
+            with pytest.raises(VerificationError) as info:
+                interleave_upper(both, both.by_name("phi"), both.by_name("psi"), d, p)
+            assert info.value.witness == (("x1",), ("x3",))
+    assert _grades(both).pair_diagrams == {}
 
 
 def test_interleave_random_never_fails():
@@ -1140,6 +1144,17 @@ def test_evaluator_builds_one_filtration_per_cap(monkeypatch):
     assert all(type(t) is int for levels in _grades(ds).filtrations.values() for level in levels for _, t in level)
     assert spaces > len(built)
     assert scale_grid(ds) is scale_grid(ds)
+
+
+def test_a_cap_above_the_domain_lists_no_empty_levels():
+    # three points span no simplex above dimension 2, however large the cap
+    ds = DataSet(Domain(["a", "b", "c"]), [("f", [0, 1, 2]), ("g", [2, 1, 0])])
+    f, g = ds
+    assert len(_grades(ds).filtration(2000)) == 3
+    assert _grades(ds).filtration(2000) == _grades(ds).filtration(2)
+    assert vr_complex(ds.domain.points, ds.pseudometric().at, 2, 2000).dim_cap == 2000
+    assert {**ph_grid(ds, f, 2000, 2).to_json_dict(), "degree": 5} == ph_grid(ds, f, 5, 2).to_json_dict()
+    assert interleave_upper(ds, f, g, 2000, 3) == interleave_upper(ds, f, g, 5, 3)
 
 
 @st.composite
