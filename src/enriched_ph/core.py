@@ -23,7 +23,9 @@ def parse_rational(value) -> Fraction:
     """Accept "p/q" or decimal strings, ints, and exact-decimal floats.
 
     Anything else, booleans and a zero denominator included, raises
-    ValueError.
+    ValueError.  Plain ASCII "a", "-a" and "a/b" strings with b nonzero are
+    read with int(); every other string goes through Fraction(str), as do
+    the errors.
     """
     if isinstance(value, Fraction):
         return value
@@ -32,6 +34,12 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (
+            not slash or den.isascii() and den.isdigit() and den.strip("0")
+        ):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

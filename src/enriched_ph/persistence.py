@@ -179,11 +179,14 @@ class _Grades:
     codes, so values and their differences compare as integers.  The memos
     fill on use: the Vietoris-Rips filtration of the whole domain by cap,
     with each simplex's diameter as a grid index, which every evaluator's
-    rows read; its order by each measurement's values, which every slice
-    barcode of that measurement cuts; the slice barcodes that
-    bottleneck_lower shares, by (measurement, degree, p, scale index); and
-    the diagrams of interleave_upper by ordered pair of measurements, which
-    every degree and modulus reads.
+    rows read; its order by each measurement's values, which that
+    measurement's slice barcodes are read from; the slice barcodes at every
+    grid scale, one sweep per (measurement, degree, p), which
+    bottleneck_lower and slice_barcode share; and the diagrams of
+    interleave_upper by ordered pair of measurements, which every degree
+    and modulus reads.  The filtration and the orders are kept by the cap
+    that bounds the levels _rips lists, so every cap at or above the
+    domain's size less one (and at least 1) shares one entry.
     """
 
     __slots__ = (
@@ -210,28 +213,100 @@ class _Grades:
             i = bisect.bisect_right(self.scales, r) - 1
         return i
 
+    def _cap(self, dim_cap) -> int:
+        # no level of _rips passes the domain's size less one, but level 1 stays
+        return min(dim_cap, max(len(self.pair) - 1, 1))
+
     def filtration(self, dim_cap) -> list:
         """The VR filtration of the whole domain up to dim_cap (_rips): its
         complex at the i-th grid scale is the prefix of diameter index <= i."""
-        levels = self.filtrations.get(dim_cap)
+        cap = self._cap(dim_cap)
+        levels = self.filtrations.get(cap)
         if levels is None:
             pair = self.pair  # its keys are the domain's points, in order
-            levels = self.filtrations[dim_cap] = _rips(tuple(pair), lambda x, y: pair[x][y], dim_cap)
+            levels = self.filtrations[cap] = _rips(tuple(pair), lambda x, y: pair[x][y], cap)
         return levels
 
     def order(self, m, dim_cap) -> list:
         """The filtration up to dim_cap as (value, dim, simplex, diameter
         index), sorted, where a simplex's value is m's largest numerator on
         its vertices: the order in which the simplices enter m's sublevels."""
-        entries = self.orders.get((m, dim_cap))
+        key = (m, self._cap(dim_cap))
+        entries = self.orders.get(key)
         if entries is None:
             value = dict(zip(self.pair, self.numerators[m]))
-            entries = self.orders[m, dim_cap] = sorted(
-                (max(value[v] for v in s), k, s, t)
+            entries = self.orders[key] = sorted(
+                (max(map(value.__getitem__, s)), k, s, t)
                 for k, level in enumerate(self.filtration(dim_cap))
                 for s, t in level
             )
         return entries
+
+    def slices(self, m, degree, p) -> tuple:
+        """m's slice barcodes in degree over F_p at every grid index, as
+        slice_barcode gives them but in m's numerators (infinite deaths
+        stay INF): one sweep per (m, degree, p), kept in barcodes."""
+        key = (m, degree, p)
+        found = self.barcodes.get(key)
+        if found is None:
+            found = self.barcodes[key] = self._sweep(m, degree, p)
+        return found
+
+    def _sweep(self, m, degree, p) -> tuple:
+        """The barcodes of slices, each a sorted tuple of (birth, death).
+
+        Everything but the pairing is read once from m's order of the
+        filtration up to degree + 1: each simplex's position in it, its
+        value, the ends of each edge and the boundary column of each simplex
+        of dimension 2 and up, numbered by those positions.  The complex at
+        grid index i keeps the simplices of diameter index <= i in that
+        order, and a sublist of a sorted list is sorted, so its filtered
+        boundary matrix is the whole one's, cut to those rows and columns.
+        Numbering its rows by position in the whole order keeps every
+        comparison, so the pivots are those of the cut complex alone.
+
+        At each index, degrees 0 and 1 run the elder rule (_components) over
+        the kept edges: in degree 0 an edge that joins two components kills
+        the younger root, which is the pivot its reduced column would have.
+        In degree 1 the creators are the kept edges that close a cycle;
+        without one there is no bar and nothing is reduced.  Otherwise the
+        kept columns of dimension 2 and up reduce only against each other,
+        through ColumnSolver, and a creator dies at the column whose pivot
+        it is.  Columns of a dimension below degree touch neither the
+        creators nor their deaths and are left out."""
+        entries = self.order(m, degree + 1)
+        value = [v for v, _, _, _ in entries]
+        pos = {s: j for j, (_, _, s, _) in enumerate(entries)}
+        vertices = [j for j, (_, k, _, _) in enumerate(entries) if not k]
+        rank = {entries[j][2]: n for n, j in enumerate(vertices)}  # numbered in their order
+        edges = [(t, j, (rank[s[:1]], rank[s[1:]])) for j, (_, k, s, t) in enumerate(entries) if k == 1]
+        cells = [(t, j, k, _boundary(s, pos, p)) for j, (_, k, s, t) in enumerate(entries) if k > 1 and k >= degree]
+        barcodes = []
+        for i in range(len(self.scales)):
+            if degree <= 1:
+                kept = [e for e in edges if e[0] <= i]
+                _, kills = _components(len(vertices), [e[2] for e in kept])
+            dies = {}  # creator -> the simplex that kills it
+            if degree == 0:
+                born = vertices
+                dies = {vertices[v]: j for (_, j, _), v in zip(kept, kills) if v >= 0}
+            elif degree == 1:
+                born = [j for (_, j, _), v in zip(kept, kills) if v < 0]
+            else:
+                born = [j for t, j, k, _ in cells if k == degree and t <= i]
+            if degree and born:
+                solver, columns = ColumnSolver(p), []
+                for t, j, _, col in cells:
+                    if t <= i:
+                        solver.add(col)
+                        columns.append(j)
+                        if degree == 1 and len(solver.pivots) == len(born):
+                            break  # every pivot is a creator: the columns left reduce to zero
+                dies = {row: columns[c] for row, c in solver.pivots.items()}
+            killers = set(dies.values())
+            bars = sorted((value[j], value[dies[j]] if j in dies else INF) for j in born if j not in killers)
+            barcodes.append(tuple(b for b in bars if b[0] != b[1]))
+        return tuple(barcodes)
 
     def diagrams(self, phi, psi) -> tuple:
         """What interleave_upper checks for the ordered pair of
@@ -979,40 +1054,20 @@ def slice_barcode(dataset: DataSet, m: Measurement, degree: int, p: int, r) -> l
     pivots of the column reduction of the filtered boundary matrix pair each
     creator with the simplex that kills it.  The complex is the prefix of
     the persistence index's filtration at the grid scale at or below r,
-    shared by every measurement.  Its simplices are read, in order, from the
-    measurement's order of the whole filtration (_Grades.order), sorted once
-    by the integer numerators of their values: a sublist of a sorted list is
-    sorted.  Births and deaths are read as m's values only in the result.
+    shared by every measurement.
 
-    The edge columns are paired by the elder rule (_components): an edge
-    that joins two components kills the younger root, which is the pivot
-    its reduced column would have.  Columns of dimension 2 and up reduce
-    only against each other, and go through ColumnSolver."""
+    The bars are read from the persistence index's sweep of m (see
+    _Grades.slices and _Grades._sweep), which computes the barcode at
+    every grid scale at once, in m's integer numerators, the first time
+    any scale is asked for; births and deaths are read as m's values only
+    here.  The scale is placed on the grid first, so a bad scale builds
+    nothing."""
     _check_degree_and_prime(degree, p)
     m = dataset.find(m)
     grades = _grades(dataset)
-    top = grades.scale_index(r)
-    simplices = [(v, k, s) for v, k, s, t in grades.order(m, degree + 1) if t <= top]
-    pos = {s: j for j, (_, _, s) in enumerate(simplices)}
-    edges = [(j, s) for j, (_, k, s) in enumerate(simplices) if k == 1]
-    higher = [j for j, (_, k, _) in enumerate(simplices) if k > 1]
-    _, kills = _components(len(simplices), [(pos[s[:1]], pos[s[1:]]) for _, s in edges])
-    pivots = {v: j for (j, _), v in zip(edges, kills) if v >= 0}  # pivot row -> the simplex it pairs with
-    solver = ColumnSolver(p)
-    for j in higher:
-        solver.add(_boundary(simplices[j][2], pos, p))
-    pivots.update((row, higher[c]) for row, c in solver.pivots.items())
-    killers = set(pivots.values())
-    bars = []
-    for j, (birth, k, _) in enumerate(simplices):
-        if k != degree or j in killers:
-            continue  # not a creator in this degree
-        death = simplices[pivots[j]][0] if j in pivots else INF
-        if death != birth:
-            bars.append((birth, death))
-    bars.sort()  # by birth, then death, INF after every finite death
+    i = grades.scale_index(r)
     value = dict(zip(grades.numerators[m], m.values))  # a bar's ends are values of m
-    return [(value[b], INF if d == INF else value[d]) for b, d in bars]
+    return [(value[b], INF if d == INF else value[d]) for b, d in grades.slices(m, degree, p)[i]]
 
 
 def _perfect_matching(left, edges) -> bool:
@@ -1036,19 +1091,22 @@ def _perfect_matching(left, edges) -> bool:
 
 
 def bottleneck_distance(bars_a, bars_b):
-    """Exact bottleneck distance between two interval lists; infinite-death
-    bars must match each other by birth.
+    """Exact bottleneck distance between two interval lists, as a Fraction
+    (or INF); infinite-death bars must match each other by birth.  The ends
+    may be ints, such as a data set's numerators, or Fractions.
 
     The distance is the least candidate eps at which every bar is matched
-    within eps.  Two shortcuts return exactly what the full search would:
-    equal diagrams (compared as sorted lists) are at distance 0, and the
-    infinite bars are matched in sorted order of birth, so they fit iff eps
-    >= inf_gap = max |a_i - b_i| over the two sorted birth lists (0 without
-    infinite bars).  That matching is optimal because on a line two crossed
-    pairs can be uncrossed without raising the larger of their two gaps.  So
-    the candidates are inf_gap and those of the finite bars (the cost of a
-    pair, or half a bar's length) above it, and only the finite bars go
-    through Kuhn's matching.
+    within eps.  The candidates are ranked doubled, so that integer ends
+    stay integers: twice the cost of a pair, a bar's length (twice the
+    distance to the diagonal) and twice inf_gap; the least feasible one is
+    halved once, as a Fraction.  Two shortcuts return exactly what the full
+    search would: equal diagrams (compared as sorted lists) are at distance
+    0, and the infinite bars are matched in sorted order of birth, so they
+    fit iff eps >= inf_gap = max |a_i - b_i| over the two sorted birth lists
+    (0 without infinite bars).  That matching is optimal because on a line
+    two crossed pairs can be uncrossed without raising the larger of their
+    two gaps.  So the candidates are inf_gap and those of the finite bars
+    above it, and only the finite bars go through Kuhn's matching.
     """
     if sorted(bars_a) == sorted(bars_b):
         return Fraction(0)
@@ -1058,37 +1116,34 @@ def bottleneck_distance(bars_a, bars_b):
     inf_b = sorted(b[0] for b in bars_b if b[1] == INF)
     if len(inf_a) != len(inf_b):
         return INF
-    inf_gap = max((abs(x - y) for x, y in zip(inf_a, inf_b)), default=Fraction(0))
-
-    def cost(x, y):
-        return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
-
-    halves_a = [(d - b) / 2 for b, d in fin_a]
-    halves_b = [(d - b) / 2 for b, d in fin_b]
-    candidates = {inf_gap}
-    candidates.update(cost(x, y) for x, y in itertools.product(fin_a, fin_b))
-    candidates.update(halves_a)
-    candidates.update(halves_b)
+    inf_gap = 2 * max((abs(x - y) for x, y in zip(inf_a, inf_b)), default=0)
+    # twice the cost of each pair of finite bars, and twice each bar's distance to the diagonal
+    costs = [[2 * max(abs(x[0] - y[0]), abs(x[1] - y[1])) for y in fin_b] for x in fin_a]
+    lengths_a = [d - b for b, d in fin_a]
+    lengths_b = [d - b for b, d in fin_b]
+    candidates = {inf_gap, *lengths_a, *lengths_b}
+    for row in costs:
+        candidates.update(row)
 
     na, nb = len(fin_a), len(fin_b)
 
     def feasible(eps):
         # finite bars: left = fin_a + proxies of fin_b, right = fin_b + proxies of fin_a
         edges = {}
-        for i, x in enumerate(fin_a):
-            opts = [j for j, y in enumerate(fin_b) if cost(x, y) <= eps]
-            if halves_a[i] <= eps:
+        for i, row in enumerate(costs):
+            opts = [j for j, c in enumerate(row) if c <= eps]
+            if lengths_a[i] <= eps:
                 opts.append(nb + i)  # own diagonal slot
             edges[i] = opts
         for jj in range(nb):
-            opts = [jj] if halves_b[jj] <= eps else []
+            opts = [jj] if lengths_b[jj] <= eps else []
             opts.extend(range(nb, nb + na))  # proxy-to-proxy is free
             edges[na + jj] = opts
         return _perfect_matching(na + nb, edges)
 
     for eps in sorted(c for c in candidates if c >= inf_gap):
         if feasible(eps):
-            return eps
+            return Fraction(eps, 2)
     return INF
 
 
@@ -1096,30 +1151,23 @@ def bottleneck_lower(dataset: DataSet, phi: Measurement, psi: Measurement, degre
     """Largest per-scale bottleneck distance between the level-direction
     barcodes; a certified lower bound for the interleaving distance.
 
-    Each barcode is kept in the data set's persistence index and computed
-    by slice_barcode only the first time any pair asks for it.  The pair is
-    matched only at the scales where either barcode differs from the scale
-    before."""
+    Each measurement's barcodes at every scale come from one sweep, kept in
+    the data set's persistence index (_Grades.slices) and computed only the
+    first time any pair or slice_barcode asks for them.  The two sweeps are
+    matched in integer numerators, only at the scales where either barcode
+    differs from the scale before, and the largest distance is divided by
+    the data set's denominator once."""
     _check_degree_and_prime(degree, p)
-    memo = _grades(dataset).barcodes
+    grades = _grades(dataset)
     phi, psi = dataset.find(phi), dataset.find(psi)
-
-    def barcode(m, i, r):
-        key = (m, degree, p, i)
-        bars = memo.get(key)
-        if bars is None:
-            bars = memo[key] = tuple(slice_barcode(dataset, m, degree, p, r))
-        return bars
-
     best, last = Fraction(0), None
-    for i, r in enumerate(scale_grid(dataset)):
-        bars = barcode(phi, i, r), barcode(psi, i, r)
+    for bars in zip(grades.slices(phi, degree, p), grades.slices(psi, degree, p)):
         if bars != last:  # else the distance is the last scale's
             d = bottleneck_distance(*bars)
             if d == INF:
                 return INF
             best, last = max(best, d), bars
-    return best
+    return best / grades.denominator
 
 
 def interleaving_bounds(dataset, phi, psi, degree, p) -> InterleavingResult:

@@ -24,7 +24,7 @@ from enriched_ph import (
     vr_complex,
 )
 from enriched_ph.linalg import _components
-from enriched_ph.persistence import INF, _check_nested, _sublevels
+from enriched_ph.persistence import INF, _check_nested, _grades, _sublevels
 from conftest import HALF_LATTICE, OracleHomologySpace, oracle_slice_barcode
 
 F = Fraction
@@ -237,6 +237,22 @@ def test_slice_barcode_with_tied_values_equals_the_oracle(case, degree):
     ds, m, p = case
     for r in scale_grid(ds):
         assert slice_barcode(ds, m, degree, p, r) == oracle_slice_barcode(ds, m, degree, p, r)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.one_of(datasets([F(0), F(1, 2), F(1)]), datasets(HALF_LATTICE, max_points=5)), st.sampled_from([0, 1, 2, 3]))
+def test_each_sweep_entry_equals_the_oracle_in_integer_codes(case, degree):
+    # one sweep per measurement gives every scale's barcode, in numerators over the denominator
+    ds, m, p = case
+    grades = _grades(ds)
+    with pytest.raises(ValueError, match="scale parameter must be nonnegative"):
+        slice_barcode(ds, m, degree, p, F(-1, 2))
+    assert grades.barcodes == {}  # a refused scale sweeps nothing
+    sweep, den = grades.slices(m, degree, p), grades.denominator
+    assert grades.slices(m, degree, p) is sweep and len(sweep) == len(scale_grid(ds))
+    for bars, r in zip(sweep, scale_grid(ds)):
+        assert all(type(b) is int and (d is INF or type(d) is int) for b, d in bars)
+        assert [(F(b, den), INF if d is INF else F(d, den)) for b, d in bars] == oracle_slice_barcode(ds, m, degree, p, r)
 
 
 def test_slice_barcode_kills_the_younger_component():

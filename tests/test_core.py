@@ -32,6 +32,7 @@ from enriched_ph import (
     product,
     sup_distance,
 )
+from enriched_ph.core import parse_rational
 from conftest import HALF_LATTICE, random_dataset, random_point_map
 
 
@@ -435,6 +436,45 @@ def test_rational_parsing():
     assert vals["u"] == Fraction(1, 2)
     assert vals["v"] == Fraction(-1, 4)
     assert vals["w"] == 3
+
+
+def reference_rational(text):
+    """parse_rational on a string before it read plain integers with int()."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+ODD_SPELLINGS = [
+    "3", "-3", "+3", " 3", "3 ", "\t-3/4\n", "3/4", "-3/4", "+3/4", "007", "00/01", "-0", "-0/1", "0/5",
+    "1/0", "-1/0", "12/0000", "1/-2", "1/+2", "1 /2", "1/ 2", "1.5", "-.5", "1.", "1e3", "1E-2", "1.5/2",
+    "1_000", "1__0", "_1", "1/2_0", "\u0663", "-\u0663/\u0664", "1/\u0664", "\u00b2", "1/\u00b2", "12\u00a0",
+    "", " ", "-", "/2", "1/", "1/2/3", "--1", "- 1", "0x10", "inf", "nan", "1/2 3",
+]
+
+
+def assert_parses_as_the_reference(text):
+    try:
+        want = reference_rational(text)
+    except ValueError as error:
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == str(error)
+    else:
+        got = parse_rational(text)
+        assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize("text", ODD_SPELLINGS)
+def test_rational_strings_parse_as_fraction_reads_them(text):
+    assert_parses_as_the_reference(text)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.text(alphabet="0123456789-+/ ._e\u0663\u00b2", max_size=8))
+def test_any_rational_spelling_parses_as_fraction_reads_it(text):
+    assert_parses_as_the_reference(text)
 
 
 @pytest.mark.parametrize(

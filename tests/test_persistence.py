@@ -52,6 +52,7 @@ from enriched_ph.persistence import (
     INF,
     ComponentMap,
     HomologySpace,
+    _Grades,
     _grade,
     _grades,
     _prefix,
@@ -1150,8 +1151,16 @@ def test_a_cap_above_the_domain_lists_no_empty_levels():
     # three points span no simplex above dimension 2, however large the cap
     ds = DataSet(Domain(["a", "b", "c"]), [("f", [0, 1, 2]), ("g", [2, 1, 0])])
     f, g = ds
-    assert len(_grades(ds).filtration(2000)) == 3
-    assert _grades(ds).filtration(2000) == _grades(ds).filtration(2)
+    grades = _grades(ds)
+    assert len(grades.filtration(2000)) == 3
+    assert grades.filtration(2000) is grades.filtration(2)
+    assert list(grades.filtrations) == [2]
+    # every cap from 2 up lists the same levels, so each measurement has one order
+    for m, cap in itertools.product(ds, (2, 3, 2000)):
+        assert grades.order(m, cap) is grades.order(m, 2)
+    for m, d in itertools.product(ds, (1, 4, 1999)):
+        slice_barcode(ds, m, d, 2, 2)
+    assert set(grades.orders) == {(f, 2), (g, 2)}
     assert vr_complex(ds.domain.points, ds.pseudometric().at, 2, 2000).dim_cap == 2000
     assert {**ph_grid(ds, f, 2000, 2).to_json_dict(), "degree": 5} == ph_grid(ds, f, 5, 2).to_json_dict()
     assert interleave_upper(ds, f, g, 2000, 3) == interleave_upper(ds, f, g, 5, 3)
@@ -1757,6 +1766,17 @@ def test_bottleneck_distance_equals_the_full_search(pair):
     assert got == want and type(got) is type(want)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(diagram_pairs())
+def test_bottleneck_distance_on_integer_bars_is_exact(pair):
+    # the doubled half-lattice bars as ints, as bottleneck_lower passes a data set's numerators
+    a, b = ([(int(2 * x), INF if y == INF else int(2 * y)) for x, y in bars] for bars in pair)
+    got = bottleneck_distance(a, b)
+    want = oracle_bottleneck_distance(*([(F(x), y if y == INF else F(y)) for x, y in bars] for bars in (a, b)))
+    assert got == want and type(got) is type(want)
+    assert got is INF or type(got) is Fraction
+
+
 def test_bottleneck_lower_shared_across_pairs_equals_fresh_oracle():
     rng = random.Random(71)
     for _ in range(4):
@@ -1785,23 +1805,21 @@ def test_slice_memo_belongs_to_one_data_set():
 
 
 def test_bottleneck_lower_computes_only_the_new_measurements_barcodes(monkeypatch):
-    import enriched_ph.persistence as persistence
-
+    # each measurement's barcodes at every scale are one sweep, kept for every later pair
     ds = random_dataset(random.Random(72), min_points=4, max_points=4, min_meas=3, max_meas=3)
     phi, psi, chi = ds
-    n = len(scale_grid(ds))
-    real, seen = persistence.slice_barcode, []
+    real, seen = _Grades._sweep, []
 
-    def counted(dataset, m, *rest):
+    def counted(grades, m, *rest):
         seen.append(m)
-        return real(dataset, m, *rest)
+        return real(grades, m, *rest)
 
-    monkeypatch.setattr(persistence, "slice_barcode", counted)
+    monkeypatch.setattr(_Grades, "_sweep", counted)
     bottleneck_lower(ds, phi, psi, 1, 3)
-    assert [seen.count(m) for m in ds] == [n, n, 0]
+    assert [seen.count(m) for m in ds] == [1, 1, 0]
     seen.clear()
     bottleneck_lower(ds, phi, chi, 1, 3)
-    assert seen == [chi] * n
+    assert seen == [chi]
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -1812,11 +1830,17 @@ def test_bottleneck_lower_matches_each_change_of_the_barcode_pair_once(case, cut
 
     ds, phi, psi, d, p = case
     grid = scale_grid(ds)
-    for m, degree in itertools.product(ds, (0, 1, 2)):  # every measurement's sorted filtration first
+    for m, degree in itertools.product(ds, (0, 1, 2)):  # every measurement's sweeps first
         slice_barcode(ds, m, degree, p, grid[0])
     for m, degree, r in itertools.product(ds, (0, 1, 2), grid):
         assert slice_barcode(ds, m, degree, p, r) == oracle_slice_barcode(ds, m, degree, p, r)
-    pairs = [(oracle_slice_barcode(ds, phi, d, p, r), oracle_slice_barcode(ds, psi, d, p, r)) for r in grid]
+    # the pairs are matched in the data set's integer codes: numerators over its denominator
+    den = _grades(ds).denominator
+
+    def codes(bars):
+        return [(int(b * den), INF if e == INF else int(e * den)) for b, e in bars]
+
+    pairs = [(codes(oracle_slice_barcode(ds, phi, d, p, r)), codes(oracle_slice_barcode(ds, psi, d, p, r))) for r in grid]
     changes = [pair for k, pair in enumerate(pairs) if k == 0 or pair != pairs[k - 1]]
     real, matched = persistence.bottleneck_distance, []
 
@@ -1827,6 +1851,7 @@ def test_bottleneck_lower_matches_each_change_of_the_barcode_pair_once(case, cut
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(persistence, "bottleneck_distance", counted)
         got = bottleneck_lower(ds, phi, psi, d, p)
+    assert all(type(x) is int for a, b in matched for bar in a + b for x in bar if x != INF)
     if 0 < cut <= len(changes):
         assert got == INF and matched == changes[:cut]
     else:
