@@ -259,7 +259,7 @@ class Incarnation:
         ops = []
         for name, mapping in _json_object(data.get("M", {}), "M").items():
             mapping = _json_object(mapping, f"operation {name!r}")
-            ops.append((name, PointMap(ds.domain, ds.domain, mapping)))
+            ops.append(PointMap(ds.domain, ds.domain, mapping, (name,)))
         return cls(ds, ops)
 
 

@@ -78,18 +78,15 @@ class SimplicialComplex:
     distance function (metric) it was built with, beside the dimension cap.
     It holds every simplex on its points up to the cap whose pairwise
     distances stay within the scale; a complex without a grade has scale
-    and metric None.  A complex of a persistence index's filtration also
-    knows its scale's index on the index's grid, so nesting compares
-    integers.
+    and metric None.
     """
 
-    __slots__ = ("points", "simplices", "dim_cap", "scale", "metric", "_grid_index", "_index", "_vertex_pos")
+    __slots__ = ("points", "simplices", "dim_cap", "scale", "metric", "_index", "_vertex_pos")
 
     def __init__(self, points, simplices, dim_cap, scale=None, metric=None):
         self.points = tuple(points)
         self.dim_cap = dim_cap
         self.scale, self.metric = scale, metric
-        self._grid_index = None  # the scale's index on its persistence index's grid, if read from one
         self._vertex_pos = {p: i for i, p in enumerate(self.points)}
         self.simplices = {k: tuple(v) for k, v in simplices.items()}
         self._index = {
@@ -179,19 +176,18 @@ class _Grades:
     codes, so values and their differences compare as integers.  The memos
     fill on use: the Vietoris-Rips filtration of the whole domain by cap,
     with each simplex's diameter as a grid index, which every evaluator's
-    rows read; its order by each measurement's values, which that
-    measurement's slice barcodes are read from; the slice barcodes at every
-    grid scale, one sweep per (measurement, degree, p), which
-    bottleneck_lower and slice_barcode share; and the diagrams of
-    interleave_upper by ordered pair of measurements, which every degree
-    and modulus reads.  The filtration and the orders are kept by the cap
-    that bounds the levels _rips lists, so every cap at or above the
-    domain's size less one (and at least 1) shares one entry.
+    rows and every sweep read; the slice barcodes at every grid scale, one
+    sweep per (measurement, degree, p), which bottleneck_lower and
+    slice_barcode share; and the diagrams of interleave_upper by ordered
+    pair of measurements, which every degree and modulus reads.  The
+    filtration is kept by the cap that bounds the levels _rips lists, so
+    every cap at or above the domain's size less one (and at least 1)
+    shares one entry.
     """
 
     __slots__ = (
         "scales", "index", "pair", "metric", "denominator", "numerators",
-        "filtrations", "orders", "barcodes", "pair_diagrams",
+        "filtrations", "barcodes", "pair_diagrams",
     )
 
     def __init__(self, dataset: DataSet):
@@ -201,7 +197,7 @@ class _Grades:
         pts, self.metric = metric.points, metric.at
         self.pair = {x: dict(zip(pts, (index[v] for v in row))) for x, row in zip(pts, metric.rows)}
         self.denominator, self.numerators = dataset.denominator, {m: c for c, m in dataset._codes.items()}
-        self.filtrations, self.orders, self.barcodes, self.pair_diagrams = {}, {}, {}, {}
+        self.filtrations, self.barcodes, self.pair_diagrams = {}, {}, {}
 
     def scale_index(self, r) -> int:
         """Index of the largest grid scale <= r: the VR complex of every
@@ -213,34 +209,16 @@ class _Grades:
             i = bisect.bisect_right(self.scales, r) - 1
         return i
 
-    def _cap(self, dim_cap) -> int:
-        # no level of _rips passes the domain's size less one, but level 1 stays
-        return min(dim_cap, max(len(self.pair) - 1, 1))
-
     def filtration(self, dim_cap) -> list:
         """The VR filtration of the whole domain up to dim_cap (_rips): its
         complex at the i-th grid scale is the prefix of diameter index <= i."""
-        cap = self._cap(dim_cap)
+        # no level of _rips passes the domain's size less one, but level 1 stays
+        cap = min(dim_cap, max(len(self.pair) - 1, 1))
         levels = self.filtrations.get(cap)
         if levels is None:
             pair = self.pair  # its keys are the domain's points, in order
             levels = self.filtrations[cap] = _rips(tuple(pair), lambda x, y: pair[x][y], cap)
         return levels
-
-    def order(self, m, dim_cap) -> list:
-        """The filtration up to dim_cap as (value, dim, simplex, diameter
-        index), sorted, where a simplex's value is m's largest numerator on
-        its vertices: the order in which the simplices enter m's sublevels."""
-        key = (m, self._cap(dim_cap))
-        entries = self.orders.get(key)
-        if entries is None:
-            value = dict(zip(self.pair, self.numerators[m]))
-            entries = self.orders[key] = sorted(
-                (max(map(value.__getitem__, s)), k, s, t)
-                for k, level in enumerate(self.filtration(dim_cap))
-                for s, t in level
-            )
-        return entries
 
     def slices(self, m, degree, p) -> tuple:
         """m's slice barcodes in degree over F_p at every grid index, as
@@ -255,10 +233,13 @@ class _Grades:
     def _sweep(self, m, degree, p) -> tuple:
         """The barcodes of slices, each a sorted tuple of (birth, death).
 
-        Everything but the pairing is read once from m's order of the
-        filtration up to degree + 1: each simplex's position in it, its
-        value, the ends of each edge and the boundary column of each simplex
-        of dimension 2 and up, numbered by those positions.  The complex at
+        m's order of the filtration up to degree + 1 lists it as (value,
+        dim, simplex, diameter index), sorted, where a simplex's value is
+        m's largest numerator on its vertices: the order in which the
+        simplices enter m's sublevels.  Everything but the pairing is read
+        once from that order: each simplex's position in it, its value, the
+        ends of each edge and the boundary column of each simplex of
+        dimension 2 and up, numbered by those positions.  The complex at
         grid index i keeps the simplices of diameter index <= i in that
         order, and a sublist of a sorted list is sorted, so its filtered
         boundary matrix is the whole one's, cut to those rows and columns.
@@ -274,7 +255,12 @@ class _Grades:
         through ColumnSolver, and a creator dies at the column whose pivot
         it is.  Columns of a dimension below degree touch neither the
         creators nor their deaths and are left out."""
-        entries = self.order(m, degree + 1)
+        code = dict(zip(self.pair, self.numerators[m]))
+        entries = sorted(
+            (max(map(code.__getitem__, s)), k, s, t)
+            for k, level in enumerate(self.filtration(degree + 1))
+            for s, t in level
+        )
         value = [v for v, _, _, _ in entries]
         pos = {s: j for j, (_, _, s, _) in enumerate(entries)}
         vertices = [j for j, (_, k, _, _) in enumerate(entries) if not k]
@@ -494,23 +480,21 @@ def verify_simplicial(src: SimplicialComplex, dst: SimplicialComplex, vmap) -> N
 
 def _check_nested(src: SimplicialComplex, dst: SimplicialComplex) -> None:
     """The inclusion src -> dst is simplicial, and keeps every vertex tuple,
-    when the grades nest: one metric, one dimension cap, a scale no larger,
-    and src's points among dst's in dst's order.  Two complexes read from a
-    persistence index compare their scales' grid indices."""
+    when the grades nest: one metric, one dimension cap, src's points among
+    dst's in dst's order, and a scale no larger.  The points are tested
+    before the scale: a row's space at a scale is built at the last of its
+    steps at or below it, so two ends asked at one scale may carry
+    different scales, and then the points are the fault."""
     pos = dst._vertex_pos
     order = [pos.get(v, -1) for v in src.points]
     if src.metric is None or src.metric != dst.metric:
         fault = "another metric"
     elif src.dim_cap != dst.dim_cap:
         fault = "another dimension cap"
-    elif src.scale is not dst.scale and (
-        src.scale > dst.scale
-        if src._grid_index is None or dst._grid_index is None
-        else src._grid_index > dst._grid_index  # one metric, so one grid
-    ):
-        fault = "a larger scale"
     elif -1 in order or order != sorted(order):
         fault = "points outside the target or out of its order"
+    elif src.scale is not dst.scale and src.scale > dst.scale:
+        fault = "a larger scale"
     else:
         return
     raise SimplicialMapError(f"inclusion of {_grade(src)} into {_grade(dst)}: the source has {fault}")
@@ -642,7 +626,6 @@ class PHEvaluator:
             for i in range(len(grades.scales)):
                 if i in steps:
                     cx = SimplicialComplex(points, _prefix(mine, i), d + 1, grades.scales[i], grades.metric)
-                    cx._grid_index = i
                     space = HomologySpace(cx, d, self.p)
                 row.append(space)
             row = self._rows[key] = tuple(row)
@@ -783,16 +766,17 @@ class BigradedPersistence:
         }
 
 
-def _persistence(ev, dataset, m, degree, p, grid, vertex_sets) -> BigradedPersistence:
-    """Homology at every grid corner, on vertex_sets[j] at level j, read from
-    one row per level set, with each right and up map read from the
-    evaluator's memo by its pair of spaces."""
-    at = [_grades(dataset).scale_index(r) for r in grid.r_values]
+def _persistence(ev, m, degree, grid, vertex_sets) -> BigradedPersistence:
+    """Homology of m at every grid corner, on vertex_sets[j] at level j, read
+    from one row per level set, with each right and up map read from the
+    evaluator's memo by its pair of spaces; the data set and modulus are the
+    evaluator's."""
+    at = [_grades(ev.dataset).scale_index(r) for r in grid.r_values]
     rows = [ev._row(vs, degree) for vs in vertex_sets]
     spaces = [[row[i] for row in rows] for i in at]
     right = [[ev._map(a, b) for a, b in zip(row, nxt)] for row, nxt in zip(spaces, spaces[1:])]
     up = [[ev._map(a, b) for a, b in zip(row, row[1:])] for row in spaces]
-    return BigradedPersistence(dataset, m, degree, p, grid, spaces, right, up, ev)
+    return BigradedPersistence(ev.dataset, m, degree, ev.p, grid, spaces, right, up, ev)
 
 
 def _check_grid(r_values, s_values) -> None:
@@ -832,7 +816,7 @@ def ph_grid(
     rv = tuple(r_values) if r_values is not None else scale_grid(dataset)
     sv = tuple(s_values) if s_values is not None else level_grid([m])
     _check_grid(rv, sv)
-    bp = _persistence(ev, dataset, m, degree, p, CriticalGrid(rv, sv), _sublevels(m.domain.points, m.values, sv))
+    bp = _persistence(ev, m, degree, CriticalGrid(rv, sv), _sublevels(m.domain.points, m.values, sv))
     bp.verify_squares()
     return bp
 
@@ -1192,5 +1176,5 @@ def superlevel_duality_check(dataset: DataSet, phi: Measurement, degree: int, p:
         return False
     # phi >= -s exactly where -phi <= s
     supers = _sublevels(dataset.domain.points, [-v for v in phi.values], bp.grid.s_values)
-    direct = _persistence(PHEvaluator(dataset, p), dataset, phi, degree, p, bp.grid, supers)
+    direct = _persistence(PHEvaluator(dataset, p), phi, degree, bp.grid, supers)
     return direct.to_json_dict() == bp.to_json_dict()

@@ -438,6 +438,26 @@ def test_incarnation_json_operation_must_be_an_object(fixture_b):
         Incarnation.from_json_dict(data)
 
 
+def test_incarnation_json_builds_each_named_operation_once(fixture_b, monkeypatch):
+    data = json.loads(json.dumps(fixture_b["incarnation"].to_json_dict()))
+    mappings = data["M"]
+    assert len({tuple(sorted(m.items())) for m in mappings.values()}) == len(mappings) > 1
+    real, built = PointMap.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PointMap, "__init__", counted)
+    inc = Incarnation.from_json_dict(data)
+    assert len(built) == len(mappings)
+    dom = inc.dataset.domain
+    pairs = Incarnation(inc.dataset, [(name, PointMap(dom, dom, m)) for name, m in mappings.items()])
+    assert inc.ops == pairs.ops
+    assert [g.aliases for g in inc.ops] == [g.aliases for g in pairs.ops]
+    assert inc.kind == pairs.kind
+
+
 def test_empty_operation_set_allowed(fixture_a):
     inc = Incarnation(fixture_a["both"], [])
     assert deformation_closure([m for m in inc.dataset][:1], inc) == tuple(inc.dataset)[:1]

@@ -24,7 +24,7 @@ from enriched_ph import (
     vr_complex,
 )
 from enriched_ph.linalg import _components
-from enriched_ph.persistence import INF, _check_nested, _grades, _sublevels
+from enriched_ph.persistence import INF, _check_nested, _grade, _grades, _sublevels
 from conftest import HALF_LATTICE, OracleHomologySpace, oracle_slice_barcode
 
 F = Fraction
@@ -201,29 +201,21 @@ def test_inclusion_matrices_equal_those_of_the_kernel_basis_oracle(case, degree)
             assert ev._map(a, b) == want
 
 
-def test_nesting_of_cut_complexes_compares_grid_indices(fixture_a):
+def test_nesting_of_cut_complexes_compares_scales(fixture_a):
     both = fixture_a["both"]
-
-    def whole_row():
-        # the whole domain's row: every grid index is a distance among its points
-        return PHEvaluator(both, 2)._row(both.domain.points, 1)
-
-    low, high = whole_row()[1].complex, whole_row()[2].complex
-    assert (low._grid_index, high._grid_index) == (1, 2)
-    # scales that cannot be compared: only the indices are read
-    low.scale, high.scale = object(), object()
+    # the whole domain's row: every grid index is a distance among its points
+    row = PHEvaluator(both, 2)._row(both.domain.points, 1)
+    low, high = row[1].complex, row[2].complex
+    assert (low.scale, high.scale) == (F(1), F(2))
     _check_nested(low, high)
     with pytest.raises(SimplicialMapError, match="a larger scale") as info:
         _check_nested(high, low)
-    assert str(info.value).count("(scale <object") == 2
-    # a complex from vr_complex has no index, and is compared by its scale
+    assert _grade(high) in str(info.value) and _grade(low) in str(info.value)
+    # a complex from vr_complex is compared with a row's by scale too
     plain = vr_complex(both.domain.points, both.pseudometric().at, F(2), 2)
-    assert plain._grid_index is None
-    row = whole_row()
-    assert (row[1].complex.scale, row[2].complex.scale) == (F(1), F(2))
     with pytest.raises(SimplicialMapError, match="a larger scale"):
-        _check_nested(plain, row[1].complex)
-    _check_nested(plain, row[2].complex)
+        _check_nested(plain, low)
+    _check_nested(plain, high)
 
 
 # ---------------------------------------------------------------------------

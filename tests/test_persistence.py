@@ -1094,7 +1094,7 @@ def test_filtration_prefixes_equal_vr_complexes_and_the_definition(ds):
             assert cx.points == fresh.points
             assert list(cx.simplices.items()) == list(fresh.simplices.items())
             assert cx._index == fresh._index
-            assert (cx.scale, cx.metric, cx.dim_cap, cx._grid_index) == (fresh.scale, fresh.metric, fresh.dim_cap, i)
+            assert (cx.scale, cx.metric, cx.dim_cap) == (fresh.scale, fresh.metric, fresh.dim_cap)
             assert type(cx.scale) is Fraction
 
 
@@ -1155,12 +1155,10 @@ def test_a_cap_above_the_domain_lists_no_empty_levels():
     assert len(grades.filtration(2000)) == 3
     assert grades.filtration(2000) is grades.filtration(2)
     assert list(grades.filtrations) == [2]
-    # every cap from 2 up lists the same levels, so each measurement has one order
-    for m, cap in itertools.product(ds, (2, 3, 2000)):
-        assert grades.order(m, cap) is grades.order(m, 2)
+    # every cap from 2 up lists the same levels, so every sweep reads the one filtration
     for m, d in itertools.product(ds, (1, 4, 1999)):
         slice_barcode(ds, m, d, 2, 2)
-    assert set(grades.orders) == {(f, 2), (g, 2)}
+    assert list(grades.filtrations) == [2]
     assert vr_complex(ds.domain.points, ds.pseudometric().at, 2, 2000).dim_cap == 2000
     assert {**ph_grid(ds, f, 2000, 2).to_json_dict(), "degree": 5} == ph_grid(ds, f, 5, 2).to_json_dict()
     assert interleave_upper(ds, f, g, 2000, 3) == interleave_upper(ds, f, g, 5, 3)
@@ -1307,6 +1305,16 @@ def test_inclusion_refuses_grades_that_do_not_nest(fixture_a):
     assert induced_map(full, ev.homology(pts, F(2), 1), None) == oracle_inclusion_map(
         full, ev.homology(pts, F(2), 1)
     )
+
+
+def test_an_extra_point_is_the_fault_of_ends_asked_at_one_scale():
+    # each row hands back the space built at its last step: ('a', 'b') at 1, ('a',) at 0
+    ds = DataSet(Domain(["a", "b", "c"]), [("f", [0, 1, 2]), ("g", [2, 1, 0])])
+    with pytest.raises(SimplicialMapError) as info:
+        PHEvaluator(ds, 2).inclusion_matrix(["a", "b"], 2, ["a"], 2, 0)
+    fault = str(info.value)
+    assert fault.endswith("the source has points outside the target or out of its order")
+    assert "(scale 1, cap 1, points ('a', 'b'))" in fault and "(scale 0, cap 1, points ('a',))" in fault
 
 
 def test_empty_and_identity_inclusions_equal_the_per_simplex_walk(fixture_a, monkeypatch):
