@@ -164,15 +164,12 @@ class Incarnation:
     action table row (phi -> phi . g), which act and reach read.
     """
 
-    __slots__ = ("dataset", "ops", "kind", "_by_alias", "_action", "_closure", "_reach")
+    __slots__ = ("dataset", "ops", "kind", "_by_alias", "_action", "_reach")
 
     def __init__(self, dataset: DataSet, ops=()):
         self.dataset = dataset
         first, found, self._action = {}, [], {}
         for g in ops:
-            if not isinstance(g, PointMap):
-                name, g = g
-                g = g.with_aliases((name,) + tuple(a for a in g.aliases if a != name))
             if g not in self._action:
                 self._action[g], bad = _action(g, dataset)
                 if bad is not None:
@@ -187,7 +184,6 @@ class Incarnation:
         )
         self._by_alias = {a: g for g in self.ops for a in g.aliases}
         self.kind = self._compute_kind()
-        self._closure = None
         self._reach = None
 
     def _compute_kind(self) -> str:
@@ -206,11 +202,6 @@ class Incarnation:
             return self._by_alias[name]
         except KeyError:
             raise KeyError(f"no operation named {name!r}") from None
-
-    def monoid_closure(self) -> tuple:
-        if self._closure is None:
-            self._closure = generated_submonoid(self.ops, self.dataset.domain)
-        return self._closure
 
     def act(self, m: Measurement, g: PointMap) -> Measurement:
         """The stored m . g, for g one of the operations (aliases ignored)."""
@@ -330,44 +321,40 @@ def is_independent(omega, inc: Incarnation) -> bool:
 
 
 def find_basis(inc: Incarnation) -> tuple:
-    """Deterministic independent generating set.
+    """The canonically first basis: the first member of each source class.
 
-    Repeatedly take the canonically first unreached measurement and swap out
-    members it can reach; the reached set grows strictly, so this terminates
-    with a basis.
+    A source class is a set of measurements that reach each other and that
+    no measurement outside the set reaches.  The bases are exactly the sets
+    that take one member from each source class:
+    - a member of a source class is reached only from inside its class, so
+      every generating set holds at least one member of each class;
+    - two members of one class reach each other, so an independent set holds
+      at most one;
+    - every other measurement is reached from some source class (follow its
+      reachers up the finite preorder to a class no outsider reaches), so
+      one member of each class generates, and a set that also holds another
+      measurement is not independent.
+    m is the first member of its class when every measurement that reaches m
+    is also reached by m and none of them comes earlier in canonical order.
+    The tuple of first members comes first in canonical order: its k-th
+    smallest member is never later than the k-th smallest member of any
+    other basis.
     """
-    reach = inc.reach()
-    omega: list = []
-    covered: set = set()
-    while True:
-        missing = next((m for m in inc.dataset if m not in covered), None)
-        if missing is None:
-            break
-        omega = [missing] + [w for w in omega if w not in reach[missing]]
-        covered = set()
-        for m in omega:
-            covered |= reach[m]
-    return tuple(sorted(omega, key=lambda m: m.values))
+    ms, reach = inc.dataset.measurements, inc.reach()
+    return tuple(
+        m for k, m in enumerate(ms)
+        if all(j >= k and x in reach[m] for j, x in enumerate(ms) if m in reach[x])
+    )
 
 
 def enumerate_bases(inc: Incarnation, guard: int = 12) -> list:
-    """All bases, canonically ordered; exponential in the data set size."""
+    """All bases, canonically ordered: the product of the source classes (find_basis)."""
     n = len(inc.dataset)
     if n > guard:
         raise GuardExceeded(f"|Phi|={n} exceeds basis enumeration guard {guard}")
-    reach = inc.reach()
-    ms = list(inc.dataset)
-    out = []
-    for k in range(n + 1):
-        for omega in itertools.combinations(ms, k):
-            union = set()
-            for m in omega:
-                union |= reach[m]
-            if len(union) != n:
-                continue
-            if all(a not in reach[b] for a, b in itertools.permutations(omega, 2)):
-                out.append(tuple(omega))
-    return out
+    ms, reach = inc.dataset.measurements, inc.reach()
+    classes = [[j for j, x in enumerate(ms) if x in reach[m] and m in reach[x]] for m in find_basis(inc)]
+    return [tuple(ms[j] for j in pick) for pick in sorted(map(sorted, itertools.product(*classes)))]
 
 
 def dimension(inc: Incarnation) -> int:

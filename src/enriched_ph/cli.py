@@ -19,7 +19,6 @@ from .actions import (
     DEFAULT_ENUM_GUARD,
     Incarnation,
     blocks,
-    dimension,
     enumerate_aut,
     enumerate_end,
     find_basis,
@@ -153,11 +152,12 @@ def cmd_metric(args) -> int:
 
 def cmd_analyze(args) -> int:
     inc = _load_incarnation(args.incarnation)
+    basis = find_basis(inc)
     report = {
         "kind": inc.kind,
         "blocks": [sorted(m.name for m in blk) for blk in blocks(inc)],
-        "basis": sorted(m.name for m in find_basis(inc)),
-        "dimension": dimension(inc),
+        "basis": sorted(m.name for m in basis),
+        "dimension": len(basis),
     }
     _emit(report, args.output)
     return EXIT_OK
@@ -181,6 +181,10 @@ def cmd_ph(args) -> int:
         raise CliError(EXIT_INPUT, f"{flag} needs an incarnation input")
     if args.functor and os.path.exists(args.functor) and not os.path.isdir(args.functor):
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.functor)
+    if args.functor and obj.ops:  # each edge file is named after a measurement and an operation
+        for name in [m.name for m in ds] + [g.name for g in obj.ops]:
+            if {"/", "\0", os.sep, os.altsep} & set(name):
+                raise CliError(EXIT_INPUT, f"--functor cannot name an edge file after {name!r}")
     # the grid (on stdout when nothing else is asked for) shares its evaluator with the barcodes
     bp = None
     if args.grid or not (args.barcodes or args.functor or args.dot):

@@ -14,6 +14,11 @@ from .actions import Incarnation
 from .errors import VerificationError
 
 
+def _quoted(name: str) -> str:
+    """name as a DOT string: in double quotes, with backslash and quote escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 class GrothendieckGraph:
     """Edges are stored as given; validity is checked, not assumed."""
 
@@ -75,11 +80,11 @@ class GrothendieckGraph:
         color_of = {c: palette[i % len(palette)] for i, c in enumerate(self.colors)}
         lines = ["digraph G {"]
         for v in self.vertices:
-            lines.append(f'  "{self.vertex_names[v]}";')
+            lines.append(f"  {_quoted(self.vertex_names[v])};")
         for a, g, b in self.edges:
             lines.append(
-                f'  "{self.vertex_names[a]}" -> "{self.vertex_names[b]}"'
-                f' [label="{self.color_names[g]}", color={color_of[g]}];'
+                f"  {_quoted(self.vertex_names[a])} -> {_quoted(self.vertex_names[b])}"
+                f" [label={_quoted(self.color_names[g])}, color={color_of[g]}];"
             )
         lines.append("}")
         return "\n".join(lines) + "\n"

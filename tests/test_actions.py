@@ -335,7 +335,7 @@ def test_action_table_equals_composing_afresh(seed):
             return action(g, dataset)
 
         mp.setattr(actions, "_action", counted_action)
-        again = Incarnation(ds, [*inc.ops, *((f"again{i}", g) for i, g in enumerate(inc.ops))])
+        again = Incarnation(ds, [*inc.ops, *(g.with_aliases((f"again{i}", *g.aliases)) for i, g in enumerate(inc.ops))])
     assert counts == {"compose": 0, "built": 0, "action": len(inc.ops)}
     assert again == inc
 
@@ -420,14 +420,14 @@ def test_non_operation_rejected(fixture_a):
 def test_one_name_for_two_operations_rejected(fixture_b):
     ops = fixture_b["ops"]
     with pytest.raises(ValueError, match="name 's' bound to two different operations"):
-        Incarnation(fixture_b["dataset"], [("s", ops["g1"]), ("s", ops["id"])])
+        Incarnation(fixture_b["dataset"], [ops["g1"].with_aliases(("s", "g1")), ops["id"].with_aliases(("s", "id"))])
     # one operation under two entries keeps both names
-    inc = Incarnation(fixture_b["dataset"], [("s", ops["g1"]), ("t", ops["g1"])])
+    inc = Incarnation(fixture_b["dataset"], [ops["g1"].with_aliases(("s", "g1")), ops["g1"].with_aliases(("t", "g1"))])
     assert inc.op_by_name("s") is inc.op_by_name("t")
     # an unnamed identity does not take a name another operation holds
     dom = fixture_b["domain"]
     unnamed = PointMap(dom, dom, {p: p for p in dom})
-    inc = Incarnation(fixture_b["dataset"], [("id", ops["g1"]), unnamed])
+    inc = Incarnation(fixture_b["dataset"], [ops["g1"].with_aliases(("id", "g1")), unnamed])
     assert inc.op_by_name("g0") == unnamed and inc.op_by_name("id") == ops["g1"]
 
 
@@ -452,7 +452,7 @@ def test_incarnation_json_builds_each_named_operation_once(fixture_b, monkeypatc
     inc = Incarnation.from_json_dict(data)
     assert len(built) == len(mappings)
     dom = inc.dataset.domain
-    pairs = Incarnation(inc.dataset, [(name, PointMap(dom, dom, m)) for name, m in mappings.items()])
+    pairs = Incarnation(inc.dataset, [PointMap(dom, dom, m).with_aliases((name,)) for name, m in mappings.items()])
     assert inc.ops == pairs.ops
     assert [g.aliases for g in inc.ops] == [g.aliases for g in pairs.ops]
     assert inc.kind == pairs.kind
@@ -480,7 +480,12 @@ def test_unnamed_operations_take_free_names_in_image_order():
 
     inc = Incarnation(
         ds,
-        [op("x3", "x3", "x3"), ("g2", op("x1", "x1", "x1")), op("x1", "x1", "x2"), ("g0", op("x2", "x2", "x2"))],
+        [
+            op("x3", "x3", "x3"),
+            op("x1", "x1", "x1").with_aliases(("g2",)),
+            op("x1", "x1", "x2"),
+            op("x2", "x2", "x2").with_aliases(("g0",)),
+        ],
     )
     assert [(g.name, g.image_tuple()) for g in inc.ops] == [
         ("g2", ("x1", "x1", "x1")),
@@ -510,7 +515,7 @@ def test_closure_equals_closure_over_monoid():
     rng = random.Random(22)
     for _ in range(30):
         inc = random_incarnation(rng)
-        monoid = Incarnation(inc.dataset, inc.monoid_closure())
+        monoid = Incarnation(inc.dataset, generated_submonoid(inc.ops, inc.dataset.domain))
         for m in inc.dataset:
             assert deformation_closure([m], inc) == deformation_closure([m], monoid)
 
@@ -543,7 +548,7 @@ def test_blocks_equal_blocks_over_closure_and_union_find_oracle():
     for _ in range(30):
         inc = random_incarnation(rng)
         part = blocks(inc)
-        monoid = Incarnation(inc.dataset, inc.monoid_closure())
+        monoid = Incarnation(inc.dataset, generated_submonoid(inc.ops, inc.dataset.domain))
         assert blocks(monoid).blocks == part.blocks
         # oracle: one-step union-find, repeated to a fixed point
         groups = {m: {m} for m in inc.dataset}
@@ -611,6 +616,29 @@ def test_all_bases_same_cardinality_random():
         assert sizes == {dimension(inc)}
         fb = find_basis(inc)
         assert set(map(frozenset, bases)) >= {frozenset(fb)}
+
+
+def bases_by_definition(inc):
+    """The independent generating subsets, by brute force in itertools.combinations order."""
+    ms = inc.dataset.measurements
+    return [
+        omega
+        for k in range(len(ms) + 1)
+        for omega in itertools.combinations(ms, k)
+        if is_independent(omega, inc) and deformation_closure(omega, inc) == ms
+    ]
+
+
+def test_bases_are_the_independent_generating_sets_in_combination_order():
+    rng = random.Random(29)
+    dom = Domain(["p"])
+    cases = [random_incarnation(rng) for _ in range(200)]
+    cases.append(Incarnation(DataSet(dom, [], allow_empty=True), [PointMap.identity(dom)]))
+    for inc in cases:
+        bases = bases_by_definition(inc)
+        assert enumerate_bases(inc) == bases
+        assert find_basis(inc) == bases[0]
+        assert dimension(inc) == len(bases[0])
 
 
 def test_enumerate_bases_guard(fixture_b):

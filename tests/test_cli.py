@@ -259,20 +259,33 @@ def test_unreadable_input_or_unwritable_output_exit_2(files, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# a reflection s whose measurement g/h cannot name an edge file
+FIXTURE_SLASHED = {
+    "dataset": {"domain": ["a", "b", "c"], "measurements": {'f"x': ["0", "1", "2"], "g/h": ["2", "1", "0"]}},
+    "M": {"s": {"a": "c", "b": "b", "c": "a"}},
+}
+
+
 @pytest.mark.parametrize(
-    "incarnation, flag, target",
-    [(False, "--functor", "fdir"), (False, "--dot", "g.dot"), (True, "--functor", "afile")],
-    ids=["functor-on-data-set", "dot-on-data-set", "functor-dir-is-file"],
+    "payload, measurement, flag, target",
+    [
+        (FIXTURE_A_BOTH, "phi", "--functor", "fdir"),
+        (FIXTURE_A_BOTH, "phi", "--dot", "g.dot"),
+        (FIXTURE_B, "phi1", "--functor", "afile"),
+        (FIXTURE_SLASHED, 'f"x', "--functor", "fdir"),
+    ],
+    ids=["functor-on-data-set", "dot-on-data-set", "functor-dir-is-file", "functor-name-holds-a-slash"],
 )
-def test_ph_bad_last_destination_writes_nothing(files, capsys, incarnation, flag, target):
+def test_ph_bad_last_destination_writes_nothing(files, capsys, payload, measurement, flag, target):
     tmp, write = files
-    path = write("b.json", FIXTURE_B) if incarnation else write("ds.json", FIXTURE_A_BOTH)
+    path = write("input.json", payload)
     write("afile", {})
     before = set(os.listdir(tmp))
-    argv = ["ph", path, "-m", "phi1" if incarnation else "phi", "-d", "0"]
+    argv = ["ph", path, "-m", measurement, "-d", "0"]
     argv += ["--grid", str(tmp / "g.json"), "--barcodes", str(tmp / "b.csv"), flag, str(tmp / target)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert set(os.listdir(tmp)) == before
 
 

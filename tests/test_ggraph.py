@@ -1,12 +1,15 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from enriched_ph import (
     DataSet,
+    Domain,
     EquivarianceError,
     Incarnation,
+    PointMap,
     VerificationError,
     build_graph,
     category,
@@ -284,3 +287,14 @@ def test_graph_dot_export(fixture_b):
     assert dot.startswith("digraph")
     assert dot.count("->") == 12
     assert 'label="g1"' in dot
+
+
+def test_dot_escapes_quotes_and_backslashes_in_names():
+    dom = Domain(["x", "y"])
+    ds = DataSet(dom, [('a"b', [0, 1]), ("c", [1, 0])])
+    swap = PointMap(dom, dom, {"x": "y", "y": "x"}, ("s\\",))
+    dot = build_graph(Incarnation(ds, [swap])).to_dot()
+    string = re.compile(r'"(?:[^"\\]|\\.)*"')
+    # every quoted string closes on its line, and reads back as the name it holds
+    assert all('"' not in string.sub("", line) for line in dot.splitlines()), dot
+    assert {re.sub(r"\\(.)", r"\1", s[1:-1]) for s in string.findall(dot)} == {'a"b', "c", "s\\"}
